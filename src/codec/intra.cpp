@@ -131,8 +131,11 @@ predictDirectional(const IntraNeighbors &nb, int w, int h, double angle_deg,
                    PelViewMut &dst)
 {
     // Unified reference line: left column reversed, then top-left, then
-    // the top row — the classic HEVC layout.
+    // the top row — the classic HEVC layout. Steep angles project past
+    // the 2h/2w gathered samples, so the line is padded to its full
+    // length by replicating the last sample of each edge.
     uint8_t ref[4 * kMaxIntraSize + 1];
+    std::fill(ref, ref + 2 * kMaxIntraSize - 2 * h, nb.left[2 * h - 1]);
     for (int i = 0; i < 2 * h; ++i) {
         ref[2 * kMaxIntraSize - 1 - i] = nb.left[i];
     }
@@ -140,6 +143,8 @@ predictDirectional(const IntraNeighbors &nb, int w, int h, double angle_deg,
     for (int i = 0; i < 2 * w; ++i) {
         ref[2 * kMaxIntraSize + 1 + i] = nb.top[i];
     }
+    std::fill(ref + 2 * kMaxIntraSize + 1 + 2 * w, ref + 4 * kMaxIntraSize + 1,
+              nb.top[2 * w - 1]);
     const int origin = 2 * kMaxIntraSize;  // index of topLeft
 
     double rad = angle_deg * M_PI / 180.0;

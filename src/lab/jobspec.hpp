@@ -28,9 +28,11 @@ namespace vepro::lab
  * (whenever the record layout or the meaning of any spec field changes)
  * orphans old entries instead of misreading them.
  */
-constexpr int kSchemaVersion = 2;  // 2: lazy kernel events moved
+constexpr int kSchemaVersion = 3;  // 2: lazy kernel events moved
                                    // sampled-capture block boundaries,
                                    // shifting segment-parallel numbers.
+                                   // 3: directional intra prediction
+                                   // stopped reading unset stack bytes.
 
 /** One experiment point. Field order never affects the hash. */
 struct JobSpec {
