@@ -7,8 +7,8 @@
  * is the RS and store buffer, not the ROB).
  *
  * All 18 configurations are simulated from ONE encode pass via
- * core::runPointMulti: the instrumented encoder streams its trace into
- * a PipelineMux fanning into 18 independent StreamCore instances, so
+ * core::simulate: the instrumented encoder streams its trace into a
+ * PipelineMux fanning into 18 independent StreamCore instances, so
  * the encode+emit cost is paid once instead of per config. Each
  * config's CoreStats is bit-identical to a sequential runPoint
  * (tests/test_core.cpp pins that); --sim-jobs controls the fan-out
@@ -60,13 +60,14 @@ main(int argc, char **argv)
         configs.push_back(cfg);
     }
 
-    const std::vector<core::SweepPoint> points =
-        core::runPointMulti(*encoder, clip, 40, 4, scale, configs);
+    encoders::EncodeResult enc;
+    const std::vector<uarch::CoreStats> stats = core::simulate(
+        core::encodeFeed(*encoder, clip, 40, 4, scale, enc), configs, scale);
     size_t at = 0;
 
     core::Table rob_table({"ROB size", "IPC", "Backend frac", "ROB stall%"});
     for (int rob : kRobs) {
-        const uarch::CoreStats &s = points[at++].core;
+        const uarch::CoreStats &s = stats[at++];
         rob_table.addRow(
             {std::to_string(rob), core::fmt(s.ipc(), 2),
              core::fmt(s.slots.fraction(s.slots.backend), 3),
@@ -79,7 +80,7 @@ main(int argc, char **argv)
 
     core::Table rs_table({"RS size", "IPC", "Backend frac", "RS stall%"});
     for (int rs : kRs) {
-        const uarch::CoreStats &s = points[at++].core;
+        const uarch::CoreStats &s = stats[at++];
         rs_table.addRow(
             {std::to_string(rs), core::fmt(s.ipc(), 2),
              core::fmt(s.slots.fraction(s.slots.backend), 3),
@@ -92,7 +93,7 @@ main(int argc, char **argv)
     core::Table pred_table({"Frontend predictor", "IPC", "Miss rate %",
                             "Bad-spec frac"});
     for (const char *spec : kPreds) {
-        const uarch::CoreStats &s = points[at++].core;
+        const uarch::CoreStats &s = stats[at++];
         pred_table.addRow({spec, core::fmt(s.ipc(), 2),
                            core::fmt(s.branchMissRatePercent(), 2),
                            core::fmt(s.slots.fraction(s.slots.badSpec), 3)});
@@ -103,7 +104,7 @@ main(int argc, char **argv)
     core::Table pf_table({"Prefetcher", "IPC", "L1D MPKI", "L2 MPKI",
                           "LLC MPKI", "Backend-mem frac"});
     for (int mode = 0; mode < 3; ++mode) {
-        const uarch::CoreStats &s = points[at++].core;
+        const uarch::CoreStats &s = stats[at++];
         pf_table.addRow(
             {mode == 0 ? "off" : mode == 1 ? "stride x2" : "stride x4",
              core::fmt(s.ipc(), 2), core::fmt(s.l1dMpki(), 2),

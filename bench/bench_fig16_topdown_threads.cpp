@@ -37,7 +37,7 @@ main(int argc, char **argv)
                        "Frontend", "Backend", "IPC/core"});
     // This figure replays reconstructed socket-wide traces, which needs
     // the materialised op trace (random access across task op ranges),
-    // so the encode stays batch-captured; the four encoders are
+    // so the encode streams into a VectorSink; the four encoders are
     // independent and run on scale.jobs workers.
     const std::vector<std::string> names = {"Libaom", "SVT-AV1", "x264",
                                             "x265"};
@@ -53,7 +53,8 @@ main(int argc, char **argv)
         pc.maxOps = 1'200'000;
         pc.opWindow = 60'000;
         pc.opInterval = 300'000;
-        auto r = enc->encode(clip, p, pc, true);
+        trace::VectorSink ops;
+        auto r = enc->encode(clip, p, pc, true, &ops);
 
         core::SystemTraceConfig trace_cfg;
         // x265's thread pool polls (spin-waits); the others block.
@@ -61,9 +62,11 @@ main(int argc, char **argv)
             enc->threadModel() == encoders::ThreadModel::SerialSpine;
         for (int threads : {1, 2, 4, 8}) {
             auto system_trace = core::buildSystemTrace(
-                r.opTrace(), r.taskGraph, threads, trace_cfg);
-            uarch::Core core;
-            uarch::CoreStats s = core.run(system_trace);
+                ops.ops(), r.taskGraph, threads, trace_cfg);
+            uarch::StreamCore core;
+            core.onOps(system_trace.data(), system_trace.size());
+            core.flush();
+            const uarch::CoreStats &s = core.stats();
             rows[i].push_back(
                 {name, std::to_string(threads),
                  core::fmt(s.slots.fraction(s.slots.retiring), 3),

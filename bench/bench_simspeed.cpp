@@ -27,8 +27,8 @@
  *                 parallelism, bit-identical stats).
  *   e2e_multi4  — probe emission fanned through a PipelineMux into FOUR
  *                 full StreamCore+CacheSink+StreamRunner stacks with
- *                 distinct configs: the one-pass runPointMulti ablation
- *                 shape. Reported in config-ops/s (4 simulated configs
+ *                 distinct configs: the one-pass core::simulate
+ *                 multi-config ablation shape. Reported in config-ops/s (4 simulated configs
  *                 per emitted op), so its ratio vs end_to_end is the
  *                 speedup over running the four configs sequentially.
  *   core_seg    — uarch::SegmentSim over the same trace (--segments /
@@ -128,9 +128,11 @@ printGolden()
     cfg.ops = kGoldenOps;
     std::vector<trace::TraceOp> t = trace::synthTrace(cfg);
 
-    uarch::Core core;
-    uarch::CoreStats s = core.run(t);
-    std::printf("// Core::run(synthTrace{ops=%llu}), default CoreConfig\n",
+    uarch::StreamCore core;
+    core.onOps(t.data(), t.size());
+    core.flush();
+    const uarch::CoreStats &s = core.stats();
+    std::printf("// StreamCore(synthTrace{ops=%llu}), default CoreConfig\n",
                 static_cast<unsigned long long>(kGoldenOps));
     std::printf("cycles=%llu instructions=%llu\n",
                 (unsigned long long)s.cycles,
@@ -418,7 +420,7 @@ main(int argc, char **argv)
                 end_to_end > 0.0 ? e2e_pipe / end_to_end : 0.0);
     mops.set("e2e_pipe", lab::JsonValue::numberToken(fmt3(e2e_pipe)));
 
-    // The one-pass multi-config shape runPointMulti executes: one
+    // The one-pass multi-config shape core::simulate executes: one
     // emission pass, four independent full sweep stacks. Counting each
     // op once per config makes the e2e_multi4/end_to_end ratio the
     // speedup over simulating the four configs sequentially.

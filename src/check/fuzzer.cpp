@@ -304,6 +304,16 @@ diffStats(const uarch::CoreStats &ref, const uarch::CoreStats &fast)
     return out.str();
 }
 
+/** Run the optimized core over the whole trace in one delivery. */
+uarch::CoreStats
+batchCoreRun(const uarch::CoreConfig &cfg, const std::vector<TraceOp> &trace)
+{
+    uarch::StreamCore sim(cfg);
+    sim.onOps(trace.data(), trace.size());
+    sim.flush();
+    return sim.stats();
+}
+
 /**
  * Run the optimized core. Chunked delivery exercises the streaming
  * backlog path; chunk boundaries come from the seed, so batch and
@@ -314,7 +324,7 @@ fastCoreRun(const uarch::CoreConfig &cfg, const std::vector<TraceOp> &trace,
             SplitMix64 &rng)
 {
     if (rng.chance(1, 2)) {
-        return uarch::Core(cfg).run(trace);
+        return batchCoreRun(cfg, trace);
     }
     uarch::StreamCore sim(cfg);
     size_t pos = 0;
@@ -737,7 +747,7 @@ Fuzzer::runCoreCase(uint64_t seed, Divergence &out)
         const Fault inject = options_.inject;
         auto still_fails = [&cfg, inject](const std::vector<TraceOp> &t) {
             return !diffStats(refCoreRun(cfg, t, inject),
-                              uarch::Core(cfg).run(t))
+                              batchCoreRun(cfg, t))
                         .empty();
         };
         // The shrunk predicate uses the batch fast path; re-check the
@@ -747,7 +757,7 @@ Fuzzer::runCoreCase(uint64_t seed, Divergence &out)
                 ddminShrink(trace, still_fails, 200);
             out.shrunkOps = small.size();
             diff = diffStats(refCoreRun(cfg, small, inject),
-                             uarch::Core(cfg).run(small));
+                             batchCoreRun(cfg, small));
         }
     }
     out.detail = "CoreStats mismatch (" + std::to_string(trace.size()) +

@@ -230,7 +230,7 @@ makeRefPredictor(const std::string &spec, Fault fault = Fault::None);
  * full scan of the reservation station in vector order, a sorted deque
  * of in-flight load completions, per-op class/latency switches — on top
  * of RefHierarchy and makeRefPredictor. Produces the same CoreStats
- * contract as uarch::Core::run and must match it bit for bit.
+ * contract as uarch::StreamCore and must match it bit for bit.
  */
 uarch::CoreStats refCoreRun(const uarch::CoreConfig &config,
                             const std::vector<trace::TraceOp> &trace,

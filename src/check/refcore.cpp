@@ -6,7 +6,7 @@
  * per-cycle full scan of the reservation station in vector order, a
  * sorted deque of in-flight load completions, per-op switch statements
  * for port mapping and latency — kept as the slow, obviously-correct
- * oracle the optimized uarch::Core is fuzzed against. It runs over the
+ * oracle the optimized uarch::StreamCore is fuzzed against. It runs over the
  * reference cache hierarchy and reference predictor so a divergence in
  * any layer surfaces in the CoreStats comparison.
  *

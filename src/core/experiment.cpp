@@ -4,7 +4,6 @@
 #include <charconv>
 #include <cstring>
 #include <limits>
-#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -159,141 +158,98 @@ tracingConfig(const RunScale &scale)
     return pc;
 }
 
-SweepPoint
-runPoint(const encoders::EncoderModel &encoder, const video::Video &clip,
-         int crf, int preset, const RunScale &scale)
+Feed
+encodeFeed(const encoders::EncoderModel &encoder, const video::Video &clip,
+           int crf, int preset, const RunScale &scale,
+           encoders::EncodeResult &out)
 {
     encoders::EncodeParams params;
     params.crf = crf;
     params.preset = preset;
+    return [&encoder, &clip, params, probe = tracingConfig(scale),
+            &out](trace::TraceSink &sink) {
+        out = encoder.encode(clip, params, probe, false, &sink);
+    };
+}
 
-    // The machine the point simulates on: default-constructed (the
-    // paper's Xeon) when no backend is named, so pre-backend callers
-    // and cache entries see the exact geometry they always did.
-    uarch::CoreConfig core_cfg;
-    if (!scale.backend.empty()) {
-        const backend::MachineProfile &profile =
-            backend::resolveProfile(scale.backend);
-        if (profile.kind != backend::Kind::Core) {
-            throw std::invalid_argument(
-                "runPoint: backend '" + scale.backend +
-                "' is fixed-function and cannot run the core model");
-        }
-        core_cfg = profile.core;
+uarch::CoreConfig
+coreConfigFor(const std::string &backend)
+{
+    // Default-constructed when no backend is named, so pre-backend
+    // callers and cache entries see the exact geometry they always did.
+    if (backend.empty()) {
+        return {};
     }
+    const backend::MachineProfile &profile = backend::resolveProfile(backend);
+    if (profile.kind != backend::Kind::Core) {
+        throw std::invalid_argument(
+            "backend '" + backend +
+            "' is fixed-function and cannot run the core model");
+    }
+    return profile.core;
+}
 
-    SweepPoint point;
+std::vector<uarch::CoreStats>
+simulate(const Feed &feed, const std::vector<uarch::CoreConfig> &configs,
+         const RunScale &scale)
+{
+    if (configs.empty()) {
+        return {};
+    }
     if (scale.segments > 1) {
-        // Segment-parallel: capture the trace in blocks, simulate N
-        // contiguous segments concurrently, stitch deterministically.
+        if (configs.size() != 1) {
+            throw std::invalid_argument(
+                "simulate: segment-parallel simulation is per-config "
+                "state and takes exactly one config");
+        }
+        // Whole blocks go straight to SegmentSim, which simulates N
+        // contiguous segments concurrently and stitches them in order.
         uarch::SegmentSimConfig cfg;
-        cfg.core = core_cfg;
+        cfg.core = configs.front();
         cfg.segments = scale.segments;
         cfg.warmupBlocks = scale.segmentWarmup;
         cfg.jobs = 0;  // auto; SegmentSim clamps to the segment count
         uarch::SegmentSim sim(cfg);
-        point.encode =
-            encoder.encode(clip, params, tracingConfig(scale), false, &sim);
-        point.core = sim.stats();
-    } else if (scale.simJobs > 1) {
-        // Pipeline-parallel: the core model consumes blocks on a worker
-        // thread while the encode keeps producing. Bit-identical to the
-        // sequential fused path.
-        uarch::StreamCore sim(core_cfg);
+        feed(sim);
+        sim.flush();
+        return {sim.stats()};
+    }
+
+    std::vector<uarch::StreamCore> cores;
+    std::vector<trace::TraceSink *> sinks;
+    cores.reserve(configs.size());  // sinks point into cores
+    for (const uarch::CoreConfig &cfg : configs) {
+        sinks.push_back(&cores.emplace_back(cfg));
+    }
+    if (cores.size() == 1 && scale.simJobs <= 1) {
+        feed(cores.front());
+        cores.front().flush();
+    } else {
         trace::PipelineMux::Options opts;
         opts.jobs = scale.simJobs;
-        trace::PipelineMux mux({&sim}, opts);
-        point.encode =
-            encoder.encode(clip, params, tracingConfig(scale), false, &mux);
-        point.core = sim.stats();
-    } else {
-        uarch::StreamCore sim(core_cfg);
-        point.encode =
-            encoder.encode(clip, params, tracingConfig(scale), false, &sim);
-        point.core = sim.stats();
+        trace::PipelineMux mux(std::move(sinks), opts);
+        feed(mux);
+        mux.flush();
     }
+
+    std::vector<uarch::CoreStats> stats;
+    stats.reserve(cores.size());
+    for (const uarch::StreamCore &core : cores) {
+        stats.push_back(core.stats());
+    }
+    return stats;
+}
+
+SweepPoint
+runPoint(const encoders::EncoderModel &encoder, const video::Video &clip,
+         int crf, int preset, const RunScale &scale)
+{
+    SweepPoint point;
+    point.core = simulate(encodeFeed(encoder, clip, crf, preset, scale,
+                                     point.encode),
+                          {coreConfigFor(scale.backend)}, scale)
+                     .front();
     return point;
-}
-
-namespace
-{
-
-/** K StreamCores + the sink pointer list a PipelineMux wants. */
-struct CoreFan {
-    std::vector<std::unique_ptr<uarch::StreamCore>> cores;
-    std::vector<trace::TraceSink *> sinks;
-
-    explicit CoreFan(const std::vector<uarch::CoreConfig> &configs)
-    {
-        cores.reserve(configs.size());
-        sinks.reserve(configs.size());
-        for (const uarch::CoreConfig &cfg : configs) {
-            cores.push_back(std::make_unique<uarch::StreamCore>(cfg));
-            sinks.push_back(cores.back().get());
-        }
-    }
-
-    std::vector<uarch::CoreStats>
-    stats() const
-    {
-        std::vector<uarch::CoreStats> out;
-        out.reserve(cores.size());
-        for (const auto &core : cores) {
-            out.push_back(core->stats());
-        }
-        return out;
-    }
-};
-
-} // namespace
-
-std::vector<SweepPoint>
-runPointMulti(const encoders::EncoderModel &encoder, const video::Video &clip,
-              int crf, int preset, const RunScale &scale,
-              const std::vector<uarch::CoreConfig> &configs)
-{
-    if (scale.segments > 1) {
-        throw std::invalid_argument(
-            "runPointMulti: segment-parallel simulation is per-config "
-            "state; run segment points through runPoint");
-    }
-    if (configs.empty()) {
-        return {};
-    }
-    encoders::EncodeParams params;
-    params.crf = crf;
-    params.preset = preset;
-
-    CoreFan fan(configs);
-    trace::PipelineMux::Options opts;
-    opts.jobs = scale.simJobs;  // 1 = inline fan-out, 0/N = workers
-    trace::PipelineMux mux(fan.sinks, opts);
-    encoders::EncodeResult enc =
-        encoder.encode(clip, params, tracingConfig(scale), false, &mux);
-
-    std::vector<uarch::CoreStats> stats = fan.stats();
-    std::vector<SweepPoint> points(configs.size());
-    for (size_t i = 0; i < configs.size(); ++i) {
-        points[i].encode = enc;  // one encode serves every config
-        points[i].core = stats[i];
-    }
-    return points;
-}
-
-std::vector<uarch::CoreStats>
-replayMulti(const trace::FileSource &source,
-            const std::vector<uarch::CoreConfig> &configs, int jobs)
-{
-    if (configs.empty()) {
-        return {};
-    }
-    CoreFan fan(configs);
-    trace::PipelineMux::Options opts;
-    opts.jobs = jobs;
-    trace::PipelineMux mux(fan.sinks, opts);
-    source.replay(mux);
-    mux.flush();
-    return fan.stats();
 }
 
 void

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <stdexcept>
 
-#include "backend/profile.hpp"
 #include "encoders/registry.hpp"
 #include "lab/json.hpp"
 #include "trace/trace_io.hpp"
@@ -17,24 +16,6 @@ namespace vepro::lab
 
 namespace
 {
-
-/** The core geometry a spec simulates on (runPoint's resolution). */
-uarch::CoreConfig
-coreConfigFor(const JobSpec &spec)
-{
-    uarch::CoreConfig cfg;
-    if (!spec.backend.empty()) {
-        const backend::MachineProfile &profile =
-            backend::resolveProfile(spec.backend);
-        if (profile.kind != backend::Kind::Core) {
-            throw std::invalid_argument(
-                "lab: backend '" + spec.backend +
-                "' is fixed-function and cannot run the core model");
-        }
-        cfg = profile.core;
-    }
-    return cfg;
-}
 
 /** Copy the encode-side numbers a figure consumes into a JobResult. */
 void
@@ -240,10 +221,12 @@ Orchestrator::executeDirect(const JobSpec &spec)
 JobResult
 Orchestrator::replayTrace(const JobSpec &spec, const std::string &path)
 {
-    uarch::StreamCore sim(coreConfigFor(spec));
     trace::FileSource source(path);
-    trace::TraceFileInfo info = source.replay(sim);
-    sim.flush();
+    trace::TraceFileInfo info;
+    const uarch::CoreStats stats = core::simulate(
+        [&](trace::TraceSink &sim) { info = source.replay(sim); },
+        {core::coreConfigFor(spec.backend)}, spec.toRunScale())
+                                       .front();
 
     // The encode-side numbers ride in the trace metadata (written by
     // captureTrace). Any parse failure or key mismatch throws, which
@@ -260,7 +243,7 @@ Orchestrator::replayTrace(const JobSpec &spec, const std::string &path)
     result.encode.bitrateKbps = meta.at("bitrateKbps").asDouble();
     result.encode.psnrDb = meta.at("psnrDb").asDouble();
     result.encode.droppedOps = meta.at("droppedOps").asU64();
-    result.core = sim.stats();
+    result.core = stats;
     traceReplays_.fetch_add(1, std::memory_order_relaxed);
     // The replayed job never touched the clip, but prepareMiss pinned
     // it; release our reference so an all-replay sweep decodes nothing
@@ -278,23 +261,25 @@ Orchestrator::captureTrace(const JobSpec &spec,
         std::lock_guard<std::mutex> lock(intake_mutex_);
         encoder = encoders_.at(spec.encoder);
     }
-    encoders::EncodeParams params;
-    params.crf = spec.crf;
-    params.preset = spec.preset;
-    core::RunScale scale = spec.toRunScale();
-
-    // One encode feeds BOTH the live core model and the on-disk
-    // capture: the FileSink sees byte-for-byte the stream the core
-    // simulates, which is what makes later replays bit-identical.
-    uarch::StreamCore sim(coreConfigFor(spec));
+    const core::RunScale scale = spec.toRunScale();
     trace::FileSink sink(lease.tmpPath);
     sink.deferSeal(true);  // metadata is only known after the encode
-    trace::MuxSink mux{&sink, &sim};
 
     std::shared_ptr<const video::Video> clip = acquireClip(spec);
     encoderRuns_.fetch_add(1, std::memory_order_relaxed);
-    encoders::EncodeResult enc = encoder->encode(
-        *clip, params, core::tracingConfig(scale), false, &mux);
+    encoders::EncodeResult enc;
+    const core::Feed encode = core::encodeFeed(
+        *encoder, *clip, spec.crf, spec.preset, scale, enc);
+    // One encode feeds BOTH the live core model and the on-disk
+    // capture: the FileSink sees byte-for-byte the stream the core
+    // simulates, which is what makes later replays bit-identical.
+    const uarch::CoreStats stats = core::simulate(
+        [&](trace::TraceSink &sim) {
+            trace::MuxSink mux{&sink, &sim};
+            encode(mux);
+        },
+        {core::coreConfigFor(spec.backend)}, scale)
+                                       .front();
     clip.reset();
     releaseClip(spec);
 
@@ -311,7 +296,7 @@ Orchestrator::captureTrace(const JobSpec &spec,
 
     JobResult result;
     fillEncodeSummary(result, enc);
-    result.core = sim.stats();
+    result.core = stats;
     return result;
 }
 

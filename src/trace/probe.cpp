@@ -141,7 +141,7 @@ Probe::advance(uint64_t n)
 }
 
 void
-Probe::flushBlock() const
+Probe::flushBlock()
 {
     if (stage_.empty()) {
         return;
@@ -149,7 +149,9 @@ Probe::flushBlock() const
     // A non-moving sink (the default) leaves the block with us; a
     // moving one (PipelineMux, SegmentSim) takes the buffers. Either
     // way the stage comes back empty with standard capacity.
-    dest()->onBlock(std::move(stage_));
+    if (sink_ != nullptr) {
+        sink_->onBlock(std::move(stage_));
+    }
     stage_.clear();
     stage_.reserveStandard();
 }
@@ -362,33 +364,6 @@ Probe::allocRegion(size_t size)
 }
 
 void
-Probe::mergeFrom(const Probe &other)
-{
-    mix_ += other.mix_;
-    opSeq_ += other.opSeq_;
-    interval_pos_ = opSeq_ % config_.opInterval;
-    for (const TraceOp &op : other.opTrace()) {
-        if (ops_recorded_ >= config_.maxOps) {
-            ++dropped_ops_;
-            continue;
-        }
-        emitOp(op);
-    }
-    flushBlock();  // appended ops precede the appended branches
-    for (const BranchRecord &br : other.branchTrace()) {
-        if (branches_recorded_ >= config_.maxBranches) {
-            ++dropped_branches_;
-            continue;
-        }
-        ++branches_recorded_;
-        dest()->onBranch(br);
-    }
-    // Losses the other probe already took are losses of the merged trace.
-    dropped_ops_ += other.dropped_ops_;
-    dropped_branches_ += other.dropped_branches_;
-}
-
-void
 Probe::reset()
 {
     mix_ = MixCounters{};
@@ -397,7 +372,6 @@ Probe::reset()
     sitePos_ = 0;
     branch_first_op_ = 0;
     branch_last_op_ = 0;
-    capture_.clear();
     stage_.clear();
     ops_recorded_ = 0;
     branches_recorded_ = 0;

@@ -8,12 +8,14 @@
  * Encoder kernels call into a Probe to report the dynamic instructions
  * they would execute as compiled AVX2 code: op class, synthetic program
  * counter, data address, branch outcome, and dependency distances. The
- * probe accumulates three products:
+ * probe produces three products:
  *
  *  - instruction-mix counters (always on, batched — Table 2 / Fig. 3),
  *  - a branch trace (pc, taken) for the CBP predictor study (Figs. 8-10),
  *  - a sampled full-op trace for the out-of-order core model
  *    (Figs. 4-7, 11, 16).
+ *
+ * The counters stay in the probe; both traces stream to a TraceSink.
  *
  * Synthetic PCs come from a per-call-site registry: each instrumented
  * kernel or decision point owns a stable 1 KiB code window derived from a
@@ -92,8 +94,8 @@ struct ProbeConfig {
     /**
      * Full-fidelity streaming configuration: every op (and optionally
      * every branch) is recorded, uncapped and unsampled. Only sensible
-     * with an external sink (Probe::setSink) consuming the stream as it
-     * is produced — materialising it would be O(trace length) again.
+     * with a sink consuming the stream as it is produced — a
+     * materialising sink would be O(trace length) again.
      */
     static ProbeConfig streaming(bool branches = false);
 };
@@ -101,8 +103,9 @@ struct ProbeConfig {
 /**
  * Collector for one instrumented run.
  *
- * Not thread safe: each simulated encoder worker owns its own Probe and
- * results are merged afterwards (see Probe::mergeFrom).
+ * The probe keeps the instruction-mix counters itself and streams every
+ * recorded op, branch and kernel entry to its sink (setSink); it never
+ * stores the trace. Not thread safe: each encode owns its own Probe.
  */
 class Probe
 {
@@ -113,26 +116,23 @@ class Probe
     const ProbeConfig &config() const { return config_; }
 
     /**
-     * Stream recorded ops/branches to @p sink instead of the internal
-     * capture vectors. The sampling window and caps of the ProbeConfig
-     * still gate what is recorded, so a sink-fed consumer sees exactly
-     * the stream a capturing probe would have materialised; configure
-     * with ProbeConfig::streaming() for the uncapped full trace. The
-     * sink is not owned and must outlive the probe's emission. Pass
-     * nullptr to restore internal capture.
+     * Stream recorded ops/branches to @p sink. The sampling window and
+     * caps of the ProbeConfig gate what is recorded; configure with
+     * ProbeConfig::streaming() for the uncapped full trace. The sink is
+     * not owned and must outlive the probe's emission. Without a sink
+     * (nullptr, the default) recorded blocks are discarded: collect a
+     * trace by handing the probe a VectorSink.
      */
     void setSink(TraceSink *sink) { sink_ = sink; }
     TraceSink *sink() const { return sink_; }
 
     /**
      * Deliver any records still staged in the probe's emission block to
-     * the sink (or internal capture). Recorded ops, branches, and
-     * kernel entries are staged in TraceBlock units (TraceBlock::kOps
-     * ops plus the events among them) and delivered whole through
-     * TraceSink::onBlock, so sink consumers must call this once
-     * emission ends — before the sink's own flush() — to receive the
-     * tail of the stream. The trace accessors (opTrace(),
-     * takeCapture(), ...) flush implicitly.
+     * the sink. Recorded ops, branches, and kernel entries are staged in
+     * TraceBlock units (TraceBlock::kOps ops plus the events among them)
+     * and delivered whole through TraceSink::onBlock, so sink consumers
+     * must call this once emission ends — before the sink's own flush()
+     * — to receive the tail of the stream.
      */
     void flushToSink() { flushBlock(); }
 
@@ -188,51 +188,19 @@ class Probe
     const MixCounters &mix() const { return mix_; }
     uint64_t totalOps() const { return opSeq_; }
 
-    /** Ops recorded so far (delivered to the sink or captured). */
+    /** Ops recorded so far (delivered or staged for the sink). */
     uint64_t recordedOps() const { return ops_recorded_; }
     /** Branches recorded so far. */
     uint64_t recordedBranches() const { return branches_recorded_; }
     /**
      * Ops that fell inside the sampling window but were cut by the
-     * maxOps cap (including merge truncation). Non-zero means the op
-     * trace under-represents the run; benches should warn rather than
-     * report denominators computed from a silently clipped trace.
+     * maxOps cap. Non-zero means the op trace under-represents the run;
+     * benches should warn rather than report denominators computed from
+     * a silently clipped trace.
      */
     uint64_t droppedOps() const { return dropped_ops_; }
     /** Branches lost to the maxBranches cap (see droppedOps()). */
     uint64_t droppedBranches() const { return dropped_branches_; }
-
-    const std::vector<TraceOp> &opTrace() const
-    {
-        flushBlock();
-        return capture_.ops();
-    }
-    const std::vector<BranchRecord> &branchTrace() const
-    {
-        flushBlock();
-        return capture_.branches();
-    }
-
-    /** Move the collected op trace out (leaves the probe's trace empty). */
-    std::vector<TraceOp> takeOpTrace()
-    {
-        flushBlock();
-        return capture_.takeOps();
-    }
-    /** Move the collected branch trace out. */
-    std::vector<BranchRecord> takeBranchTrace()
-    {
-        flushBlock();
-        return capture_.takeBranches();
-    }
-    /** Move the whole capture sink out (ops + branches together). */
-    VectorSink takeCapture()
-    {
-        flushBlock();
-        VectorSink out = std::move(capture_);
-        capture_ = VectorSink{};
-        return out;
-    }
 
     /** Dynamic conditional-branch count (for miss-rate denominators). */
     uint64_t condBranchCount() const
@@ -252,22 +220,14 @@ class Probe
                    : 0;
     }
 
-    /**
-     * Fold another probe's counters into this one. Captured traces are
-     * appended up to this probe's caps; records cut by a cap are counted
-     * in droppedOps()/droppedBranches() (along with drops the other
-     * probe had already accumulated) instead of vanishing silently.
-     * Used to merge per-worker probes.
-     */
-    void mergeFrom(const Probe &other);
-
     /** Per-site dynamic instruction counts (see ProbeConfig::profileSites). */
     const std::unordered_map<uint64_t, uint64_t> &siteOps() const
     {
         return site_ops_;
     }
 
-    /** Reset all counters and traces (configuration is kept). */
+    /** Reset all counters and discard staged records (configuration and
+     *  sink are kept). */
     void reset();
 
   private:
@@ -283,15 +243,10 @@ class Probe
 
     uint64_t nextPc();
 
-    /** Destination of recorded records: external sink or capture. */
-    TraceSink *dest() const { return sink_ != nullptr ? sink_ : &capture_; }
-
-    /** Deliver the staged block through dest()->onBlock (mutable
-     *  state: callable from const accessors, which must observe a
-     *  fully delivered trace). A sink that moves from the block takes
-     *  the buffers; either way the stage is left empty with standard
-     *  capacity re-reserved. */
-    void flushBlock() const;
+    /** Deliver the staged block through sink_->onBlock. A sink that
+     *  moves from the block takes the buffers; either way the stage is
+     *  left empty with standard capacity re-reserved. */
+    void flushBlock();
 
     /** Record one op (updates the recorded counter). */
     void emitOp(const TraceOp &op);
@@ -323,8 +278,7 @@ class Probe
     std::unordered_map<uint64_t, uint64_t> site_ops_;
     uint64_t *site_slot_ = nullptr;  ///< Current site's counter (hot path).
 
-    TraceSink *sink_ = nullptr;  ///< External consumer, overrides capture.
-    mutable VectorSink capture_; ///< Internal batch capture (legacy API).
+    TraceSink *sink_ = nullptr;  ///< Consumer of recorded records.
     /** Kernel-site event deferred until an op is actually recorded:
      *  in sampled runs, kernel entries in the gaps between op windows
      *  vastly outnumber recorded ops and carry no information a
@@ -334,9 +288,9 @@ class Probe
     bool pending_site_valid_ = false;
     /** Emission staging block: recorded ops accumulate in stage_.ops
      *  and branch/kernel records as positioned events, delivered whole
-     *  through dest()->onBlock when the op span reaches kBlockOps (or
+     *  through sink_->onBlock when the op span reaches kBlockOps (or
      *  the event list does, for branch-only streams). */
-    mutable TraceBlock stage_ = makeStage();
+    TraceBlock stage_ = makeStage();
 
     static TraceBlock
     makeStage()

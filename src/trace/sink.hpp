@@ -7,19 +7,15 @@
  *
  * The instrumentation probe (probe.hpp) produces two record streams: the
  * full dynamic-op trace consumed by the core model and a branch trace
- * consumed by the CBP predictor framework. Historically both were
- * materialised into vectors and replayed afterwards, which caps fidelity
- * (traces are truncated at a few million records) and makes peak memory
- * proportional to trace length.
- *
- * TraceSink inverts that: consumers subscribe to the probe and receive
- * records as the encode emits them, so encode and simulation run fused
- * in one pass with O(1) trace memory. The out-of-order core model
- * (uarch::StreamCore), the cache hierarchy (uarch::CacheSink), the CBP
- * runner (bpred::StreamRunner), and the site profiler (SiteProfileSink)
- * all implement this interface; MuxSink fans one probe out to several of
- * them, and VectorSink preserves the old materialise-then-replay batch
- * API for tests and trace serialisation.
+ * consumed by the CBP predictor framework. The probe never stores them:
+ * consumers subscribe as a TraceSink and receive records as the encode
+ * emits them, so encode and simulation run fused in one pass with O(1)
+ * trace memory. The out-of-order core model (uarch::StreamCore), the
+ * cache hierarchy (uarch::CacheSink), the CBP runner
+ * (bpred::StreamRunner), the trace writer (FileSink), and the site
+ * profiler (SiteProfileSink) all implement this interface; MuxSink fans
+ * one probe out to several of them. A consumer that needs the whole
+ * trace at once (tests, the thread study) subscribes a VectorSink.
  */
 
 #include <cstddef>
@@ -231,56 +227,32 @@ class MuxSink final : public TraceSink
 };
 
 /**
- * Materialising sink: collects the streams into vectors, preserving the
- * old batch API (Core::run, bpred::runTrace, trace_io) for tests and
- * offline replay.
- *
- * Optionally bounded: with a cap, KeepFirst drops records past the cap
- * (the legacy truncation behaviour) while KeepLast keeps the most recent
- * records in a ring buffer. Dropped records are counted either way, so
- * callers can warn instead of silently reporting truncated denominators.
- * In KeepLast mode, call flush() before reading: it rotates the ring
- * into chronological order.
+ * Materialising sink: collects the op and branch streams into vectors,
+ * for tests, the thread study's trace splitting, and offline replay.
+ * Unbounded — the probe's maxOps/maxBranches caps (and their drop
+ * counters) are what bound a collected trace.
  */
 class VectorSink final : public TraceSink
 {
   public:
-    enum class Overflow { KeepFirst, KeepLast };
+    void onOp(const TraceOp &op) override { ops_.push_back(op); }
 
-    VectorSink() = default;
-    /** @param max_ops / @param max_branches 0 = unbounded. */
-    VectorSink(size_t max_ops, size_t max_branches,
-               Overflow mode = Overflow::KeepFirst)
-        : max_ops_(max_ops), max_branches_(max_branches), mode_(mode)
+    void
+    onOps(const TraceOp *ops, size_t n) override
     {
+        ops_.insert(ops_.end(), ops, ops + n);
     }
 
-    void onOp(const TraceOp &op) override;
-    void onOps(const TraceOp *ops, size_t n) override;
-    void onBranch(const BranchRecord &branch) override;
-    void flush() override;
+    void
+    onBranch(const BranchRecord &branch) override
+    {
+        branches_.push_back(branch);
+    }
 
     const std::vector<TraceOp> &ops() const { return ops_; }
     const std::vector<BranchRecord> &branches() const { return branches_; }
 
-    /** Move the ops out (ring rotated first; leaves the sink empty). */
-    std::vector<TraceOp> takeOps();
-    /** Move the branches out. */
-    std::vector<BranchRecord> takeBranches();
-
-    uint64_t droppedOps() const { return dropped_ops_; }
-    uint64_t droppedBranches() const { return dropped_branches_; }
-
-    void clear();
-
   private:
-    size_t max_ops_ = 0;
-    size_t max_branches_ = 0;
-    Overflow mode_ = Overflow::KeepFirst;
-    size_t op_head_ = 0;  ///< Ring write position (KeepLast only).
-    size_t br_head_ = 0;
-    uint64_t dropped_ops_ = 0;
-    uint64_t dropped_branches_ = 0;
     std::vector<TraceOp> ops_;
     std::vector<BranchRecord> branches_;
 };

@@ -805,22 +805,6 @@ StreamCore::stats() const
     return impl_->stats;
 }
 
-Core::Core(const CoreConfig &config) : config_(config)
-{
-    if (config.width < 1 || config.robSize < config.width) {
-        throw std::invalid_argument("Core: bad geometry");
-    }
-}
-
-CoreStats
-Core::run(const std::vector<TraceOp> &trace)
-{
-    StreamCore sim(config_);
-    sim.onOps(trace.data(), trace.size());
-    sim.flush();
-    return sim.stats();
-}
-
 void
 CacheSink::onOp(const trace::TraceOp &op)
 {

@@ -11,7 +11,7 @@
  * scheduler, 72/42-entry load/store buffers, two load ports and one
  * store port, a TAGE-class front-end direction predictor, and the
  * 32K/32K/256K/30M cache hierarchy. It consumes the
- * op traces captured by the instrumentation probes and produces exactly
+ * op traces streamed by the instrumentation probes and produces exactly
  * the statistics the paper reports: IPC, the four top-down slot
  * categories (plus the memory/core backend split), branch miss rate and
  * MPKI, per-level cache MPKI, and resource-stall cycle counts for the
@@ -150,15 +150,18 @@ struct CoreStats {
 };
 
 /**
- * Streaming core model: a trace::TraceSink that simulates the op stream
- * as it arrives, fused with the producing encode.
+ * The core model: a trace::TraceSink that simulates the op stream as it
+ * arrives, fused with the producing encode or trace replay. One
+ * instance simulates one trace start-to-finish.
  *
  * Ops are buffered in a small ring and simulated as soon as enough are
  * queued to keep the fetch stage fed; flush() drains the pipeline and
- * finalises the statistics. Cycle-for-cycle identical to replaying the
- * materialised trace through Core::run (which delegates here), but with
- * O(ring) memory instead of O(trace length), so uncapped full-fidelity
- * traces need no truncation or sampling.
+ * finalises the statistics. How the ops are chunked across onOps calls
+ * never changes the result, and memory is O(ring) instead of O(trace
+ * length), so uncapped full-fidelity traces need no truncation or
+ * sampling. A materialised trace is simulated by one onOps call over
+ * the whole vector, then flush(). Throws std::invalid_argument on a bad
+ * geometry (width < 1, robSize < width, rsSize above 256).
  */
 class StreamCore final : public trace::TraceSink
 {
@@ -202,24 +205,6 @@ class StreamCore final : public trace::TraceSink
   private:
     struct Impl;
     std::unique_ptr<Impl> impl_;
-};
-
-/** The core model. One instance simulates one trace start-to-finish. */
-class Core
-{
-  public:
-    explicit Core(const CoreConfig &config = {});
-
-    /**
-     * Simulate the trace and return the statistics: the batch-replay
-     * entry point, equivalent to streaming the trace through a
-     * StreamCore. Foreign ops in the trace are applied as coherence
-     * invalidations, not instructions.
-     */
-    CoreStats run(const std::vector<trace::TraceOp> &trace);
-
-  private:
-    CoreConfig config_;
 };
 
 /**

@@ -197,7 +197,7 @@ TEST(RunPoint, ProducesLinkedEncodeAndSimulation)
 }
 
 encoders::EncodeResult
-taskedEncode(const char *name)
+taskedEncode(const char *name, trace::VectorSink *ops = nullptr)
 {
     video::GeneratorParams p;
     p.width = 256;
@@ -211,11 +211,11 @@ taskedEncode(const char *name)
     ep.crf = enc->crfRange() * 5 / 8;
     ep.preset = enc->presetInverted() ? 2 : 6;
     trace::ProbeConfig pc;
-    pc.collectOps = true;
+    pc.collectOps = ops != nullptr;
     pc.maxOps = 300'000;
     pc.opWindow = 300'000;
     pc.opInterval = 300'000;
-    return enc->encode(clip, ep, pc, true);
+    return enc->encode(clip, ep, pc, true, ops);
 }
 
 TEST(ThreadStudy, CurveStartsAtOneAndNeverRegresses)
@@ -246,8 +246,9 @@ TEST(ThreadStudy, RequiresTaskGraph)
 
 TEST(SystemTrace, SingleThreadHasNoSpins)
 {
-    auto r = taskedEncode("x265");
-    auto trace = buildSystemTrace(r.opTrace(), r.taskGraph, 1);
+    trace::VectorSink ops;
+    auto r = taskedEncode("x265", &ops);
+    auto trace = buildSystemTrace(ops.ops(), r.taskGraph, 1);
     for (const auto &op : trace) {
         EXPECT_FALSE(op.foreign);
     }
@@ -256,8 +257,9 @@ TEST(SystemTrace, SingleThreadHasNoSpins)
 
 TEST(SystemTrace, IdleCoresSpinOnTheQueueLine)
 {
-    auto r = taskedEncode("x265");
-    auto trace = buildSystemTrace(r.opTrace(), r.taskGraph, 8);
+    trace::VectorSink ops;
+    auto r = taskedEncode("x265", &ops);
+    auto trace = buildSystemTrace(ops.ops(), r.taskGraph, 8);
     size_t foreign = 0, spins = 0;
     for (const auto &op : trace) {
         foreign += op.foreign;
@@ -271,10 +273,11 @@ TEST(SystemTrace, IdleCoresSpinOnTheQueueLine)
 
 TEST(SystemTrace, RespectsOpCap)
 {
-    auto r = taskedEncode("SVT-AV1");
+    trace::VectorSink ops;
+    auto r = taskedEncode("SVT-AV1", &ops);
     SystemTraceConfig cfg;
     cfg.maxOps = 5'000;
-    auto trace = buildSystemTrace(r.opTrace(), r.taskGraph, 4, cfg);
+    auto trace = buildSystemTrace(ops.ops(), r.taskGraph, 4, cfg);
     EXPECT_LE(trace.size(), 5'000u);
 }
 
@@ -292,8 +295,10 @@ TEST(GoldenStats, CoreCountersOnSynthTrace)
     trace::SynthConfig cfg;
     cfg.ops = 400'000;
     std::vector<trace::TraceOp> t = trace::synthTrace(cfg);
-    uarch::Core core;
-    uarch::CoreStats s = core.run(t);
+    uarch::StreamCore core;
+    core.onOps(t.data(), t.size());
+    core.flush();
+    const uarch::CoreStats &s = core.stats();
 
     EXPECT_EQ(s.cycles, 1049439u);
     EXPECT_EQ(s.instructions, 399744u);
@@ -371,9 +376,9 @@ TEST(GoldenStats, PredictorMissesOnSynthBranches)
 }
 
 // ---------------------------------------------------------------------------
-// One-pass multi-config fan-out (runPointMulti / replayMulti): the
-// determinism contract is BIT-IDENTITY with sequential runPoint, not
-// "close enough" — the mux preserves per-sink record order exactly.
+// One-pass multi-config simulate(): the determinism contract is
+// BIT-IDENTITY with sequential runPoint, not "close enough" — the mux
+// preserves per-sink record order exactly.
 
 video::Video
 multiClip()
@@ -410,7 +415,7 @@ expectSameStats(const uarch::CoreStats &a, const uarch::CoreStats &b)
     EXPECT_DOUBLE_EQ(a.llcMpki(), b.llcMpki());
 }
 
-TEST(RunPointMulti, BitIdenticalToSequentialRunPoint)
+TEST(Simulate, MultiConfigBitIdenticalToSequentialRunPoint)
 {
     video::Video clip = multiClip();
     auto enc = encoders::encoderByName("SVT-AV1");
@@ -429,20 +434,22 @@ TEST(RunPointMulti, BitIdenticalToSequentialRunPoint)
     std::vector<uarch::CoreConfig> configs = {
         uarch::CoreConfig{},
         backend::resolveProfile("graviton-like").core};
-    std::vector<SweepPoint> multi =
-        runPointMulti(*enc, clip, 40, 6, multi_scale, configs);
+    encoders::EncodeResult encoded;
+    std::vector<uarch::CoreStats> multi = simulate(
+        encodeFeed(*enc, clip, 40, 6, multi_scale, encoded), configs,
+        multi_scale);
     ASSERT_EQ(multi.size(), 2u);
-    expectSameStats(multi[0].core, seq_default.core);
-    expectSameStats(multi[1].core, seq_grav.core);
+    expectSameStats(multi[0], seq_default.core);
+    expectSameStats(multi[1], seq_grav.core);
 
-    // The single encode serves every config verbatim.
-    EXPECT_EQ(multi[0].encode.instructions, multi[1].encode.instructions);
-    EXPECT_EQ(multi[0].encode.instructions, seq_default.encode.instructions);
+    // The single encode is the one every sequential point ran.
+    EXPECT_EQ(encoded.instructions, seq_default.encode.instructions);
+    EXPECT_EQ(encoded.instructions, seq_grav.encode.instructions);
     // Different machine geometries really did diverge (no sink aliasing).
-    EXPECT_NE(multi[0].core.cycles, multi[1].core.cycles);
+    EXPECT_NE(multi[0].cycles, multi[1].cycles);
 }
 
-TEST(RunPointMulti, InlineAndParallelFanOutAgree)
+TEST(Simulate, InlineAndParallelFanOutAgree)
 {
     video::Video clip = multiClip();
     auto enc = encoders::encoderByName("x264");
@@ -461,35 +468,40 @@ TEST(RunPointMulti, InlineAndParallelFanOutAgree)
     inline_scale.simJobs = 1;  // fan-out on the producing thread
     RunScale pool_scale = scale;
     pool_scale.simJobs = 4;  // one worker per config
-    std::vector<SweepPoint> a =
-        runPointMulti(*enc, clip, 35, 5, inline_scale, configs);
-    std::vector<SweepPoint> b =
-        runPointMulti(*enc, clip, 35, 5, pool_scale, configs);
+    encoders::EncodeResult ea, eb;
+    std::vector<uarch::CoreStats> a = simulate(
+        encodeFeed(*enc, clip, 35, 5, inline_scale, ea), configs,
+        inline_scale);
+    std::vector<uarch::CoreStats> b = simulate(
+        encodeFeed(*enc, clip, 35, 5, pool_scale, eb), configs, pool_scale);
     ASSERT_EQ(a.size(), configs.size());
     ASSERT_EQ(b.size(), configs.size());
     for (size_t i = 0; i < configs.size(); ++i) {
-        expectSameStats(a[i].core, b[i].core);
+        expectSameStats(a[i], b[i]);
     }
     // The four geometries genuinely simulate apart (no sink aliasing),
     // and the smallest ROB is the clear loser.
-    EXPECT_NE(a[0].core.cycles, a[1].core.cycles);
-    EXPECT_GT(a[0].core.cycles, a.back().core.cycles);
+    EXPECT_NE(a[0].cycles, a[1].cycles);
+    EXPECT_GT(a[0].cycles, a.back().cycles);
 }
 
-TEST(RunPointMulti, SegmentModeThrowsAndEmptyConfigsReturnEmpty)
+TEST(Simulate, SegmentModeTakesOneConfigAndEmptyConfigsSkipTheFeed)
 {
-    video::Video clip = multiClip();
-    auto enc = encoders::encoderByName("SVT-AV1");
+    int feeds = 0;
+    const Feed counted = [&feeds](trace::TraceSink &) { ++feeds; };
     RunScale scale;
-    scale.maxTraceOps = 50'000;
-    EXPECT_TRUE(runPointMulti(*enc, clip, 40, 6, scale, {}).empty());
+    EXPECT_TRUE(simulate(counted, {}, scale).empty());
+    EXPECT_EQ(feeds, 0);
     scale.segments = 4;
     EXPECT_THROW(
-        runPointMulti(*enc, clip, 40, 6, scale, {uarch::CoreConfig{}}),
+        simulate(counted, {uarch::CoreConfig{}, uarch::CoreConfig{}}, scale),
         std::invalid_argument);
+    EXPECT_EQ(feeds, 0);
+    EXPECT_EQ(simulate(counted, {uarch::CoreConfig{}}, scale).size(), 1u);
+    EXPECT_EQ(feeds, 1);
 }
 
-TEST(ReplayMulti, DiskReplayMatchesLiveFanOut)
+TEST(Simulate, DiskReplayMatchesLiveFanOut)
 {
     video::Video clip = multiClip();
     auto enc = encoders::encoderByName("SVT-AV1");
@@ -500,7 +512,7 @@ TEST(ReplayMulti, DiskReplayMatchesLiveFanOut)
         backend::resolveProfile("graviton-like").core};
 
     // Capture the very trace a live run would stream.
-    const std::string path = "/tmp/vepro_test_replaymulti.vetf";
+    const std::string path = "/tmp/vepro_test_simulate_replay.vetf";
     {
         encoders::EncodeParams params;
         params.crf = 40;
@@ -509,16 +521,23 @@ TEST(ReplayMulti, DiskReplayMatchesLiveFanOut)
         enc->encode(clip, params, tracingConfig(scale), false, &sink);
     }
 
-    std::vector<SweepPoint> live =
-        runPointMulti(*enc, clip, 40, 6, scale, configs);
+    encoders::EncodeResult encoded;
+    std::vector<uarch::CoreStats> live = simulate(
+        encodeFeed(*enc, clip, 40, 6, scale, encoded), configs, scale);
     trace::FileSource source(path);
+    const Feed replay = [&source](trace::TraceSink &sink) {
+        source.replay(sink);
+    };
+    RunScale replay_scale;
+    replay_scale.simJobs = 2;
     std::vector<uarch::CoreStats> replayed =
-        replayMulti(source, configs, /*jobs=*/2);
+        simulate(replay, configs, replay_scale);
     ASSERT_EQ(replayed.size(), live.size());
     for (size_t i = 0; i < configs.size(); ++i) {
-        expectSameStats(replayed[i], live[i].core);
+        expectSameStats(replayed[i], live[i]);
     }
-    EXPECT_TRUE(replayMulti(source, {}).empty());
+    // One config, no mux: the direct StreamCore path agrees too.
+    expectSameStats(simulate(replay, {configs[0]}, {}).front(), live[0]);
     std::filesystem::remove(path);
 }
 

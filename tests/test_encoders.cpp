@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 #include "encoders/registry.hpp"
 #include "video/generator.hpp"
@@ -219,12 +220,13 @@ TEST(Encode, BranchTraceCollection)
     trace::ProbeConfig pc;
     pc.collectBranches = true;
     pc.maxBranches = 50'000;
-    EncodeResult r = enc->encode(tinyClip(), p, pc);
-    EXPECT_FALSE(r.branchTrace().empty());
-    EXPECT_LE(r.branchTrace().size(), 50'000u);
+    trace::VectorSink sink;
+    enc->encode(tinyClip(), p, pc, false, &sink);
+    EXPECT_FALSE(sink.branches().empty());
+    EXPECT_LE(sink.branches().size(), 50'000u);
     // Both directions must appear.
     bool taken = false, not_taken = false;
-    for (const auto &b : r.branchTrace()) {
+    for (const auto &b : sink.branches()) {
         taken |= b.taken;
         not_taken |= !b.taken;
     }
@@ -243,9 +245,24 @@ TEST(Encode, OpTraceRespectsCaps)
     pc.maxOps = 10'000;
     pc.opWindow = 1'000;
     pc.opInterval = 5'000;
-    EncodeResult r = enc->encode(tinyClip(), p, pc);
-    EXPECT_FALSE(r.opTrace().empty());
-    EXPECT_LE(r.opTrace().size(), 10'000u);
+    trace::VectorSink sink;
+    enc->encode(tinyClip(), p, pc, false, &sink);
+    EXPECT_FALSE(sink.ops().empty());
+    EXPECT_LE(sink.ops().size(), 10'000u);
+}
+
+TEST(Encode, CollectingWithoutSinkThrows)
+{
+    auto enc = encoderByName("x264");
+    EncodeParams p;
+    trace::ProbeConfig ops;
+    ops.collectOps = true;
+    EXPECT_THROW(enc->encode(tinyClip(), p, ops), std::invalid_argument);
+    trace::ProbeConfig branches;
+    branches.collectBranches = true;
+    EXPECT_THROW(enc->encode(tinyClip(), p, branches), std::invalid_argument);
+    // Mix counters alone need no sink.
+    EXPECT_GT(enc->encode(tinyClip(), p).instructions, 0u);
 }
 
 class TaskGraphShape : public ::testing::TestWithParam<std::string>
@@ -263,7 +280,8 @@ TEST_P(TaskGraphShape, GraphIsValidAndLinked)
     pc.maxOps = 200'000;
     pc.opWindow = 50'000;
     pc.opInterval = 100'000;
-    EncodeResult r = enc->encode(tinyClip(3), p, pc, true);
+    trace::VectorSink sink;
+    EncodeResult r = enc->encode(tinyClip(3), p, pc, true, &sink);
 
     ASSERT_FALSE(r.taskGraph.empty());
     r.taskGraph.validate();
@@ -273,7 +291,7 @@ TEST_P(TaskGraphShape, GraphIsValidAndLinked)
     EXPECT_LE(weight, r.instructions);
     for (const sched::Task &t : r.taskGraph.tasks()) {
         EXPECT_LE(t.opBegin, t.opEnd);
-        EXPECT_LE(t.opEnd, r.opTrace().size());
+        EXPECT_LE(t.opEnd, sink.ops().size());
         EXPECT_GE(t.weight, 1u);
     }
 }

@@ -40,6 +40,16 @@ benchClip(int frames = 4)
     return video::loadSuiteVideo("game1", scale);
 }
 
+/** Simulate a whole collected trace on a fresh default core. */
+uarch::CoreStats
+runTrace(const std::vector<trace::TraceOp> &trace)
+{
+    uarch::StreamCore core;
+    core.onOps(trace.data(), trace.size());
+    core.flush();
+    return core.stats();
+}
+
 TEST(Integration, EncodeSimulatePipeline)
 {
     auto enc = encoders::encoderByName("SVT-AV1");
@@ -51,11 +61,11 @@ TEST(Integration, EncodeSimulatePipeline)
     pc.maxOps = 400'000;
     pc.opWindow = 100'000;
     pc.opInterval = 300'000;
-    auto r = enc->encode(clip(), p, pc);
-    ASSERT_FALSE(r.opTrace().empty());
+    trace::VectorSink ops;
+    enc->encode(clip(), p, pc, false, &ops);
+    ASSERT_FALSE(ops.ops().empty());
 
-    uarch::Core core;
-    uarch::CoreStats s = core.run(r.opTrace());
+    uarch::CoreStats s = runTrace(ops.ops());
     EXPECT_GT(s.ipc(), 1.0);
     EXPECT_LT(s.ipc(), 3.5);
     double retiring = s.slots.fraction(s.slots.retiring);
@@ -68,9 +78,9 @@ TEST(Integration, EncodeSimulatePipeline)
 }
 
 /** The fused streaming pipeline (encode -> StreamCore + StreamRunner
- *  live) must be bit-identical to capturing the traces and replaying
- *  them batch-style — the paper numbers cannot depend on which path a
- *  bench uses. */
+ *  live) must be bit-identical to collecting the traces in a VectorSink
+ *  and replaying them batch-style — the paper numbers cannot depend on
+ *  which path a bench uses. */
 TEST(Integration, FusedPipelineMatchesBatchReplay)
 {
     auto enc = encoders::encoderByName("SVT-AV1");
@@ -86,13 +96,13 @@ TEST(Integration, FusedPipelineMatchesBatchReplay)
     pc.maxBranches = 200'000;
     pc.branchWarmupOps = 100'000;
 
-    // Batch: capture, then replay.
-    auto captured = enc->encode(clip(), p, pc);
-    uarch::Core core;
-    uarch::CoreStats batch_core = core.run(captured.opTrace());
+    // Batch: collect, then replay.
+    trace::VectorSink collected;
+    auto captured = enc->encode(clip(), p, pc, false, &collected);
+    uarch::CoreStats batch_core = runTrace(collected.ops());
     auto batch_pred = bpred::makePredictor("tage-8KB");
     bpred::RunResult batch_bp =
-        bpred::runTrace(*batch_pred, captured.branchTrace(),
+        bpred::runTrace(*batch_pred, collected.branches(),
                         captured.branchTraceInstructions);
 
     // Fused: the same encode streams into the core model and the
@@ -104,7 +114,6 @@ TEST(Integration, FusedPipelineMatchesBatchReplay)
     auto fused = enc->encode(clip(), p, pc, false, &mux);
     runner.setInstructions(fused.branchTraceInstructions);
 
-    EXPECT_TRUE(fused.opTrace().empty()) << "fused path materialises nothing";
     EXPECT_EQ(fused.instructions, captured.instructions);
     EXPECT_EQ(fused.branchTraceInstructions,
               captured.branchTraceInstructions);
@@ -207,12 +216,13 @@ TEST(Integration, CbpPredictorOrderingOnRealTraces)
     trace::ProbeConfig pc;
     pc.collectBranches = true;
     pc.maxBranches = 500'000;
-    auto r = enc->encode(clip(), p, pc);
-    ASSERT_GT(r.branchTrace().size(), 50'000u);
+    trace::VectorSink branches;
+    auto r = enc->encode(clip(), p, pc, false, &branches);
+    ASSERT_GT(branches.branches().size(), 50'000u);
 
     auto miss = [&](const char *spec) {
         auto pred = bpred::makePredictor(spec);
-        return bpred::runTrace(*pred, r.branchTrace(), r.instructions)
+        return bpred::runTrace(*pred, branches.branches(), r.instructions)
             .missRatePercent();
     };
     double g2 = miss("gshare-2KB");
@@ -258,14 +268,11 @@ TEST(Integration, ThreadStudyEndToEnd)
     pc.maxOps = 500'000;
     pc.opWindow = 100'000;
     pc.opInterval = 200'000;
-    auto r = enc->encode(clip("game1", 4), p, pc, true);
+    trace::VectorSink ops;
+    auto r = enc->encode(clip("game1", 4), p, pc, true, &ops);
 
-    auto trace1 = core::buildSystemTrace(r.opTrace(), r.taskGraph, 1);
-    auto trace8 = core::buildSystemTrace(r.opTrace(), r.taskGraph, 8);
-    uarch::Core core;
-    auto s1 = core.run(trace1);
-    uarch::Core core8;
-    auto s8 = core8.run(trace8);
+    auto s1 = runTrace(core::buildSystemTrace(ops.ops(), r.taskGraph, 1));
+    auto s8 = runTrace(core::buildSystemTrace(ops.ops(), r.taskGraph, 8));
     // With 8 threads the x265 model's socket spends far more of its
     // slots backend-bound (Fig. 16's signature).
     EXPECT_GT(s8.slots.fraction(s8.slots.backend),

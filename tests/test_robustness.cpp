@@ -147,13 +147,23 @@ INSTANTIATE_TEST_SUITE_P(AllEncoders, EncoderExtremes,
                          ::testing::Values("SVT-AV1", "Libaom", "Libvpx-vp9",
                                            "x264", "x265"));
 
+/** Simulate a whole trace on a fresh core. */
+uarch::CoreStats
+runTrace(const std::vector<trace::TraceOp> &trace,
+         const uarch::CoreConfig &cfg = {})
+{
+    uarch::StreamCore core(cfg);
+    core.onOps(trace.data(), trace.size());
+    core.flush();
+    return core.stats();
+}
+
 TEST(CoreRobustness, ForeignOnlyTraceTerminates)
 {
     std::vector<trace::TraceOp> trace(
         500, trace::TraceOp{0x400000, 0x1000, trace::OpClass::Store, false,
                             0, 0, true});
-    uarch::Core core;
-    uarch::CoreStats s = core.run(trace);
+    uarch::CoreStats s = runTrace(trace);
     EXPECT_EQ(s.instructions, 0u);
 }
 
@@ -164,8 +174,7 @@ TEST(CoreRobustness, DepDistancesBeyondWindowAreSafe)
         trace.push_back({0x400000, 0, trace::OpClass::Alu, false, 255, 255,
                          false});
     }
-    uarch::Core core;
-    uarch::CoreStats s = core.run(trace);
+    uarch::CoreStats s = runTrace(trace);
     EXPECT_EQ(s.instructions, 5000u);
     EXPECT_GT(s.ipc(), 0.1);
 }
@@ -174,8 +183,7 @@ TEST(CoreRobustness, SingleInstructionTrace)
 {
     std::vector<trace::TraceOp> trace = {
         {0x400000, 0x2000, trace::OpClass::Load, false, 0, 0, false}};
-    uarch::Core core;
-    uarch::CoreStats s = core.run(trace);
+    uarch::CoreStats s = runTrace(trace);
     EXPECT_EQ(s.instructions, 1u);
     EXPECT_GT(s.cycles, 0u);
 }
@@ -203,8 +211,7 @@ TEST(CoreRobustness, TinyCoreConfigStillRetiresEverything)
                          trace::isMemory(cls) ? 0x9000 + i * 8ull : 0, cls,
                          (rng.next() & 1) != 0, 0, 0, false});
     }
-    uarch::Core core(cfg);
-    uarch::CoreStats s = core.run(trace);
+    uarch::CoreStats s = runTrace(trace, cfg);
     EXPECT_EQ(s.instructions, 3000u);
     EXPECT_EQ(s.slots.total(), s.cycles * 1);
 }

@@ -95,6 +95,31 @@ TEST(MixCounters, Accumulate)
     EXPECT_EQ(a.byClass[0], 7u);
 }
 
+/** A probe streaming into a VectorSink: the way to collect a trace. */
+struct Collected {
+    VectorSink sink;
+    Probe probe;
+
+    explicit Collected(const ProbeConfig &config) : probe(config)
+    {
+        probe.setSink(&sink);
+    }
+
+    const std::vector<TraceOp> &
+    ops()
+    {
+        probe.flushToSink();
+        return sink.ops();
+    }
+
+    const std::vector<BranchRecord> &
+    branches()
+    {
+        probe.flushToSink();
+        return sink.branches();
+    }
+};
+
 TEST(Probe, CountsAllEmissionKinds)
 {
     Probe p;
@@ -116,14 +141,14 @@ TEST(Probe, BranchTraceCollection)
     ProbeConfig cfg;
     cfg.collectBranches = true;
     cfg.maxBranches = 4;
-    Probe p(cfg);
-    p.decision(sitePc("a"), true);
-    p.decision(sitePc("b"), false);
-    p.loopBranches(10);  // capped at 2 more
-    ASSERT_EQ(p.branchTrace().size(), 4u);
-    EXPECT_TRUE(p.branchTrace()[0].taken);
-    EXPECT_FALSE(p.branchTrace()[1].taken);
-    EXPECT_EQ(p.branchTrace()[0].pc, sitePc("a"));
+    Collected c(cfg);
+    c.probe.decision(sitePc("a"), true);
+    c.probe.decision(sitePc("b"), false);
+    c.probe.loopBranches(10);  // capped at 2 more
+    ASSERT_EQ(c.branches().size(), 4u);
+    EXPECT_TRUE(c.branches()[0].taken);
+    EXPECT_FALSE(c.branches()[1].taken);
+    EXPECT_EQ(c.branches()[0].pc, sitePc("a"));
 }
 
 TEST(Probe, BranchWarmupSkipsEarlyBranches)
@@ -131,13 +156,13 @@ TEST(Probe, BranchWarmupSkipsEarlyBranches)
     ProbeConfig cfg;
     cfg.collectBranches = true;
     cfg.branchWarmupOps = 100;
-    Probe p(cfg);
-    p.decision(sitePc("early"), true);
-    EXPECT_TRUE(p.branchTrace().empty());
-    p.ops(OpClass::Alu, 200);
-    p.decision(sitePc("late"), true);
-    ASSERT_EQ(p.branchTrace().size(), 1u);
-    EXPECT_EQ(p.branchTrace()[0].pc, sitePc("late"));
+    Collected c(cfg);
+    c.probe.decision(sitePc("early"), true);
+    EXPECT_TRUE(c.branches().empty());
+    c.probe.ops(OpClass::Alu, 200);
+    c.probe.decision(sitePc("late"), true);
+    ASSERT_EQ(c.branches().size(), 1u);
+    EXPECT_EQ(c.branches()[0].pc, sitePc("late"));
 }
 
 TEST(Probe, OpTraceSamplingWindows)
@@ -147,13 +172,13 @@ TEST(Probe, OpTraceSamplingWindows)
     cfg.opWindow = 10;
     cfg.opInterval = 100;
     cfg.maxOps = 1000;
-    Probe p(cfg);
+    Collected c(cfg);
     for (int i = 0; i < 300; ++i) {
-        p.ops(OpClass::Alu, 1);
+        c.probe.ops(OpClass::Alu, 1);
     }
-    // Three windows of ~10 ops each should be captured.
-    EXPECT_GE(p.opTrace().size(), 20u);
-    EXPECT_LE(p.opTrace().size(), 40u);
+    // Three windows of ~10 ops each should be recorded.
+    EXPECT_GE(c.ops().size(), 20u);
+    EXPECT_LE(c.ops().size(), 40u);
 }
 
 TEST(Probe, OpTraceCap)
@@ -163,54 +188,54 @@ TEST(Probe, OpTraceCap)
     cfg.opWindow = 1000;
     cfg.opInterval = 1000;
     cfg.maxOps = 50;
-    Probe p(cfg);
-    p.ops(OpClass::Alu, 500);
-    EXPECT_EQ(p.opTrace().size(), 50u);
+    Collected c(cfg);
+    c.probe.ops(OpClass::Alu, 500);
+    EXPECT_EQ(c.ops().size(), 50u);
 }
 
 TEST(Probe, DisabledCollectionIsFree)
 {
-    Probe p;
-    p.ops(OpClass::Alu, 100);
-    p.decision(sitePc("x"), true);
-    EXPECT_TRUE(p.opTrace().empty());
-    EXPECT_TRUE(p.branchTrace().empty());
-    EXPECT_EQ(p.totalOps(), 101u);
+    Collected c(ProbeConfig{});
+    c.probe.ops(OpClass::Alu, 100);
+    c.probe.decision(sitePc("x"), true);
+    EXPECT_TRUE(c.ops().empty());
+    EXPECT_TRUE(c.branches().empty());
+    EXPECT_EQ(c.probe.totalOps(), 101u);
 }
 
 TEST(Probe, MemRecordsAddresses)
 {
     ProbeConfig cfg;
     cfg.collectOps = true;
-    Probe p(cfg);
-    p.mem(OpClass::Store, 0xdeadbeef);
-    ASSERT_EQ(p.opTrace().size(), 1u);
-    EXPECT_EQ(p.opTrace()[0].addr, 0xdeadbeefu);
-    EXPECT_EQ(p.opTrace()[0].cls, OpClass::Store);
-    EXPECT_FALSE(p.opTrace()[0].foreign);
+    Collected c(cfg);
+    c.probe.mem(OpClass::Store, 0xdeadbeef);
+    ASSERT_EQ(c.ops().size(), 1u);
+    EXPECT_EQ(c.ops()[0].addr, 0xdeadbeefu);
+    EXPECT_EQ(c.ops()[0].cls, OpClass::Store);
+    EXPECT_FALSE(c.ops()[0].foreign);
 }
 
 TEST(Probe, MemRunStridesAddresses)
 {
     ProbeConfig cfg;
     cfg.collectOps = true;
-    Probe p(cfg);
-    p.memRun(OpClass::SimdLoad, 0x1000, 3, 64);
-    ASSERT_EQ(p.opTrace().size(), 3u);
-    EXPECT_EQ(p.opTrace()[1].addr, 0x1040u);
-    EXPECT_EQ(p.opTrace()[2].addr, 0x1080u);
+    Collected c(cfg);
+    c.probe.memRun(OpClass::SimdLoad, 0x1000, 3, 64);
+    ASSERT_EQ(c.ops().size(), 3u);
+    EXPECT_EQ(c.ops()[1].addr, 0x1040u);
+    EXPECT_EQ(c.ops()[2].addr, 0x1080u);
 }
 
 TEST(Probe, LoopBranchesLastFallsThrough)
 {
     ProbeConfig cfg;
     cfg.collectBranches = true;
-    Probe p(cfg);
-    p.loopBranches(4);
-    ASSERT_EQ(p.branchTrace().size(), 4u);
-    EXPECT_TRUE(p.branchTrace()[0].taken);
-    EXPECT_TRUE(p.branchTrace()[2].taken);
-    EXPECT_FALSE(p.branchTrace()[3].taken);
+    Collected c(cfg);
+    c.probe.loopBranches(4);
+    ASSERT_EQ(c.branches().size(), 4u);
+    EXPECT_TRUE(c.branches()[0].taken);
+    EXPECT_TRUE(c.branches()[2].taken);
+    EXPECT_FALSE(c.branches()[3].taken);
 }
 
 TEST(Probe, AllocRegionsDisjointAndAligned)
@@ -223,39 +248,19 @@ TEST(Probe, AllocRegionsDisjointAndAligned)
     EXPECT_GE(b, a + 1000);
 }
 
-TEST(Probe, MergeFoldsCounters)
-{
-    Probe a, b;
-    a.ops(OpClass::Alu, 5);
-    b.ops(OpClass::Alu, 7);
-    a.mergeFrom(b);
-    EXPECT_EQ(a.mix().byClass[static_cast<int>(OpClass::Alu)], 12u);
-    EXPECT_EQ(a.totalOps(), 12u);
-}
-
 TEST(Probe, ResetClearsEverything)
 {
     ProbeConfig cfg;
     cfg.collectOps = true;
     cfg.collectBranches = true;
-    Probe p(cfg);
-    p.ops(OpClass::Alu, 5);
-    p.decision(sitePc("x"), true);
-    p.reset();
-    EXPECT_EQ(p.totalOps(), 0u);
-    EXPECT_TRUE(p.opTrace().empty());
-    EXPECT_TRUE(p.branchTrace().empty());
-}
-
-TEST(Probe, TakeMovesTraces)
-{
-    ProbeConfig cfg;
-    cfg.collectOps = true;
-    Probe p(cfg);
-    p.ops(OpClass::Alu, 5);
-    auto trace = p.takeOpTrace();
-    EXPECT_EQ(trace.size(), 5u);
-    EXPECT_TRUE(p.opTrace().empty());
+    Collected c(cfg);
+    c.probe.ops(OpClass::Alu, 5);
+    c.probe.decision(sitePc("x"), true);
+    c.probe.reset();  // discards the staged, undelivered records
+    EXPECT_EQ(c.probe.totalOps(), 0u);
+    EXPECT_EQ(c.probe.recordedOps(), 0u);
+    EXPECT_TRUE(c.ops().empty());
+    EXPECT_TRUE(c.branches().empty());
 }
 
 TEST(ProbeScope, InstallsAndRestores)
@@ -493,8 +498,8 @@ TEST(TraceFile, BlockBoundaryRoundTrip)
             p.decision(sitePc("tracefile.boundary.dec"), n % 2 == 0);
             p.memRun(OpClass::SimdLoad, 0x9000, 4, 32, 1);
         };
-        Probe capture(ProbeConfig::streaming(true));
-        emit(capture);
+        Collected live(ProbeConfig::streaming(true));
+        emit(live.probe);
 
         const std::string path = "/tmp/vepro_test_tracefile_boundary.vetf";
         {
@@ -507,8 +512,8 @@ TEST(TraceFile, BlockBoundaryRoundTrip)
         }
         VectorSink back;
         FileSource(path).replay(back);
-        expectSameStreams(capture.opTrace(), back.ops());
-        ASSERT_EQ(capture.branchTrace().size(), back.branches().size());
+        expectSameStreams(live.ops(), back.ops());
+        ASSERT_EQ(live.branches().size(), back.branches().size());
         std::filesystem::remove(path);
     }
 }
@@ -752,9 +757,10 @@ TEST(TraceFile, MetadataBitFlipFailsChecksum)
 
 // ---- Streaming sink architecture -----------------------------------
 
-/** A sink-fed probe must deliver exactly the stream a capturing probe
- *  materialises — same sampling windows, same caps, same records. */
-TEST(Sink, StreamEqualsCapture)
+/** Sampling, caps, mix and MPKI denominators are decided by the probe
+ *  alone: a probe with no sink counts exactly what a sink-fed one
+ *  records and delivers. */
+TEST(Sink, CountersIndependentOfSink)
 {
     ProbeConfig pc;
     pc.collectOps = true;
@@ -765,34 +771,23 @@ TEST(Sink, StreamEqualsCapture)
     pc.maxBranches = 100;
     pc.branchWarmupOps = 500;
 
-    Probe capture(pc);
-    emitWorkload(capture);
+    Probe bare(pc);
+    emitWorkload(bare);
 
-    VectorSink streamed;
-    Probe fed(pc);
-    fed.setSink(&streamed);
-    emitWorkload(fed);
-    fed.flushToSink();
+    Collected fed(pc);
+    emitWorkload(fed.probe);
 
-    expectSameStreams(capture.opTrace(), streamed.ops());
-    ASSERT_EQ(capture.branchTrace().size(), streamed.branches().size());
-    for (size_t i = 0; i < streamed.branches().size(); ++i) {
-        EXPECT_EQ(capture.branchTrace()[i].pc, streamed.branches()[i].pc);
-        EXPECT_EQ(capture.branchTrace()[i].taken,
-                  streamed.branches()[i].taken);
-    }
-    // Counters, mix, and MPKI denominators are sink-independent.
-    EXPECT_EQ(capture.recordedOps(), fed.recordedOps());
-    EXPECT_EQ(capture.recordedBranches(), fed.recordedBranches());
-    EXPECT_EQ(capture.droppedOps(), fed.droppedOps());
-    EXPECT_EQ(capture.droppedBranches(), fed.droppedBranches());
-    EXPECT_EQ(capture.branchTraceOpSpan(), fed.branchTraceOpSpan());
-    EXPECT_EQ(capture.mix().total(), fed.mix().total());
+    EXPECT_EQ(fed.ops().size(), fed.probe.recordedOps());
+    EXPECT_EQ(fed.branches().size(), fed.probe.recordedBranches());
+    EXPECT_EQ(bare.recordedOps(), fed.probe.recordedOps());
+    EXPECT_EQ(bare.recordedBranches(), fed.probe.recordedBranches());
+    EXPECT_EQ(bare.droppedOps(), fed.probe.droppedOps());
+    EXPECT_EQ(bare.droppedBranches(), fed.probe.droppedBranches());
+    EXPECT_EQ(bare.branchTraceOpSpan(), fed.probe.branchTraceOpSpan());
     for (int i = 0; i < kNumOpClasses; ++i) {
-        EXPECT_EQ(capture.mix().byClass[static_cast<size_t>(i)],
-                  fed.mix().byClass[static_cast<size_t>(i)]);
+        EXPECT_EQ(bare.mix().byClass[static_cast<size_t>(i)],
+                  fed.probe.mix().byClass[static_cast<size_t>(i)]);
     }
-    EXPECT_EQ(streamed.ops().size(), capture.recordedOps());
 }
 
 TEST(Sink, DropCountersAccountForCaps)
@@ -804,37 +799,14 @@ TEST(Sink, DropCountersAccountForCaps)
     pc.opInterval = 1000;
     pc.collectBranches = true;
     pc.maxBranches = 5;
-    Probe p(pc);
-    emitWorkload(p);
-    EXPECT_EQ(p.recordedOps(), 100u);
-    EXPECT_EQ(p.opTrace().size(), 100u);
-    EXPECT_GT(p.droppedOps(), 0u);
-    EXPECT_EQ(p.recordedBranches(), 5u);
-    EXPECT_GT(p.droppedBranches(), 0u);
-}
-
-TEST(Sink, MergeFromCountsTruncation)
-{
-    ProbeConfig pc;
-    pc.collectOps = true;
-    pc.maxOps = 150;
-    pc.opWindow = 1000;
-    pc.opInterval = 1000;
-    pc.collectBranches = true;
-    pc.maxBranches = 8;
-
-    Probe a(pc), b(pc), merged(pc);
-    emitWorkload(a);
-    emitWorkload(b);
-    merged.mergeFrom(a);
-    ASSERT_EQ(merged.opTrace().size(), 150u);
-    uint64_t drops_before = merged.droppedOps();
-    merged.mergeFrom(b);  // capture already full: all of b's ops drop
-    EXPECT_EQ(merged.opTrace().size(), 150u);
-    EXPECT_EQ(merged.droppedOps(),
-              drops_before + b.recordedOps() + b.droppedOps());
-    EXPECT_EQ(merged.branchTrace().size(), 8u);
-    EXPECT_GT(merged.droppedBranches(), 0u);
+    Collected c(pc);
+    emitWorkload(c.probe);
+    EXPECT_EQ(c.probe.recordedOps(), 100u);
+    EXPECT_EQ(c.ops().size(), 100u);
+    EXPECT_GT(c.probe.droppedOps(), 0u);
+    EXPECT_EQ(c.probe.recordedBranches(), 5u);
+    EXPECT_EQ(c.branches().size(), 5u);
+    EXPECT_GT(c.probe.droppedBranches(), 0u);
 }
 
 TEST(Sink, MuxFansOutToAllSinks)
@@ -858,25 +830,6 @@ TEST(Sink, MuxFansOutToAllSinks)
         attributed += n;
     }
     EXPECT_EQ(attributed, p.recordedOps());
-}
-
-TEST(Sink, KeepLastRingRetainsMostRecent)
-{
-    VectorSink ring(4, 2, VectorSink::Overflow::KeepLast);
-    for (uint64_t i = 0; i < 10; ++i) {
-        ring.onOp({0x1000 + i, 0, OpClass::Alu, false, 0, 0, false});
-        ring.onBranch({0x2000 + i, i % 2 == 0});
-    }
-    ring.flush();  // rotate into chronological order
-    ASSERT_EQ(ring.ops().size(), 4u);
-    EXPECT_EQ(ring.droppedOps(), 6u);
-    for (uint64_t i = 0; i < 4; ++i) {
-        EXPECT_EQ(ring.ops()[i].pc, 0x1000 + 6 + i);
-    }
-    ASSERT_EQ(ring.branches().size(), 2u);
-    EXPECT_EQ(ring.droppedBranches(), 8u);
-    EXPECT_EQ(ring.branches()[0].pc, 0x2000 + 8u);
-    EXPECT_EQ(ring.branches()[1].pc, 0x2000 + 9u);
 }
 
 TEST(Sink, StreamingConfigRecordsEverything)
@@ -1027,33 +980,6 @@ TEST(Sink, BlockBoundaryPreservesProgramOrder)
         EXPECT_EQ(sink.ops[n + 2].cls, OpClass::Other);
         EXPECT_EQ(p.recordedOps(), n + 3);
         EXPECT_EQ(p.totalOps(), n + 1 + 4);
-    }
-}
-
-/** The same boundary traffic must be bit-identical between a sink-fed
- *  probe and a capturing probe (which flushes through the same block). */
-TEST(Sink, BlockBoundaryStreamEqualsCapture)
-{
-    for (uint64_t n : {4095u, 4096u, 4097u}) {
-        SCOPED_TRACE("n=" + std::to_string(n));
-        auto emit = [n](Probe &p) {
-            p.enterKernel(sitePc("sink.boundary.kernel"), 16);
-            p.ops(OpClass::SimdAlu, n, 0, 2);
-            p.decision(sitePc("sink.boundary.dec"), false);
-            p.memRun(OpClass::SimdLoad, 0x9000, 4, 32, 1);
-        };
-        Probe capture(ProbeConfig::streaming(true));
-        emit(capture);
-
-        VectorSink streamed;
-        Probe fed(ProbeConfig::streaming(true));
-        fed.setSink(&streamed);
-        emit(fed);
-        fed.flushToSink();
-
-        expectSameStreams(capture.opTrace(), streamed.ops());
-        ASSERT_EQ(capture.branchTrace().size(), streamed.branches().size());
-        EXPECT_EQ(capture.recordedOps(), fed.recordedOps());
     }
 }
 

@@ -112,6 +112,16 @@ TEST(Hierarchy, InstrSideCountsSeparately)
     EXPECT_EQ(mem.l1i().misses(), 1u);
 }
 
+/** Simulate a whole trace on a fresh core. */
+CoreStats
+runTrace(const std::vector<TraceOp> &trace, const CoreConfig &cfg = {})
+{
+    StreamCore core(cfg);
+    core.onOps(trace.data(), trace.size());
+    core.flush();
+    return core.stats();
+}
+
 /** Build a trace of n copies of the given op. */
 std::vector<TraceOp>
 repeat(TraceOp op, int n)
@@ -121,8 +131,7 @@ repeat(TraceOp op, int n)
 
 TEST(Core, EmptyTraceIsZero)
 {
-    Core core;
-    CoreStats s = core.run({});
+    CoreStats s = runTrace({});
     EXPECT_EQ(s.cycles, 0u);
     EXPECT_EQ(s.instructions, 0u);
 }
@@ -132,8 +141,7 @@ TEST(Core, IndependentAluStreamNearsPortWidth)
     // 3 ALU ports, width 4: independent scalar ALU ops should sustain
     // close to 3 IPC.
     TraceOp op{0x400000, 0, OpClass::Alu, false, 0, 0, false};
-    Core core;
-    CoreStats s = core.run(repeat(op, 30000));
+    CoreStats s = runTrace(repeat(op, 30000));
     EXPECT_GT(s.ipc(), 2.5);
     EXPECT_LE(s.ipc(), 3.05);
 }
@@ -141,8 +149,7 @@ TEST(Core, IndependentAluStreamNearsPortWidth)
 TEST(Core, SerialChainLimitsIpcToOne)
 {
     TraceOp op{0x400000, 0, OpClass::Alu, false, 1, 0, false};
-    Core core;
-    CoreStats s = core.run(repeat(op, 20000));
+    CoreStats s = runTrace(repeat(op, 20000));
     EXPECT_LT(s.ipc(), 1.1);
     EXPECT_GT(s.ipc(), 0.8);
 }
@@ -150,8 +157,7 @@ TEST(Core, SerialChainLimitsIpcToOne)
 TEST(Core, TopdownSlotsAccountEveryCycle)
 {
     TraceOp op{0x400000, 0, OpClass::Alu, false, 1, 0, false};
-    Core core;
-    CoreStats s = core.run(repeat(op, 10000));
+    CoreStats s = runTrace(repeat(op, 10000));
     EXPECT_EQ(s.slots.total(), s.cycles * 4);
     EXPECT_EQ(s.slots.backend,
               s.slots.backendMemory + s.slots.backendCore);
@@ -169,8 +175,7 @@ TEST(Core, CacheMissStreamIsMemoryBound)
         trace.push_back({0x400004, 0, OpClass::Alu, false, 1, 0, false});
         trace.push_back({0x400008, 0, OpClass::Alu, false, 1, 0, false});
     }
-    Core core;
-    CoreStats s = core.run(trace);
+    CoreStats s = runTrace(trace);
     EXPECT_LT(s.ipc(), 1.0);
     EXPECT_GT(s.slots.fraction(s.slots.backend), 0.4);
     EXPECT_GT(s.slots.backendMemory, s.slots.backendCore);
@@ -184,8 +189,7 @@ TEST(Core, PredictableBranchesBarelyMiss)
         trace.push_back({0x400000, 0, OpClass::Alu, false, 0, 0, false});
         trace.push_back({0x400010, 0, OpClass::BranchCond, true, 0, 0, false});
     }
-    Core core;
-    CoreStats s = core.run(trace);
+    CoreStats s = runTrace(trace);
     EXPECT_EQ(s.condBranches, 20000u);
     EXPECT_LT(s.branchMissRatePercent(), 0.5);
 }
@@ -200,8 +204,7 @@ TEST(Core, RandomBranchesCauseBadSpeculation)
         trace.push_back({0x400010, 0, OpClass::BranchCond,
                          (lfsr & 1) != 0, 0, 0, false});
     }
-    Core core;
-    CoreStats s = core.run(trace);
+    CoreStats s = runTrace(trace);
     EXPECT_GT(s.branchMissRatePercent(), 20.0);
     EXPECT_GT(s.slots.fraction(s.slots.badSpec), 0.3);
     EXPECT_LT(s.ipc(), 1.5);
@@ -210,8 +213,7 @@ TEST(Core, RandomBranchesCauseBadSpeculation)
 TEST(Core, StoreBurstFillsStoreBuffer)
 {
     TraceOp st{0x400000, 0x20000000, OpClass::Store, false, 0, 0, false};
-    Core core;
-    CoreStats s = core.run(repeat(st, 20000));
+    CoreStats s = runTrace(repeat(st, 20000));
     EXPECT_GT(s.stalls.storeBuf, 100u)
         << "one store port / 42-entry SB cannot absorb 1 store per slot";
 }
@@ -226,8 +228,7 @@ TEST(Core, ForeignOpsInvalidateButDoNotExecute)
         trace.push_back(warm);
         trace.push_back(foreign);
     }
-    Core core;
-    CoreStats s = core.run(trace);
+    CoreStats s = runTrace(trace);
     EXPECT_EQ(s.instructions, 1000u) << "foreign ops are not instructions";
     EXPECT_GT(s.invalidations, 300u);
     EXPECT_GT(s.l1dMisses, 300u)
@@ -245,8 +246,7 @@ TEST(Core, InstructionFootprintDrivesL1i)
                              OpClass::Alu, false, 0, 0, false});
         }
     }
-    Core core;
-    CoreStats s = core.run(trace);
+    CoreStats s = runTrace(trace);
     EXPECT_GT(s.l1iMpki(), 100.0);
     EXPECT_GT(s.slots.fraction(s.slots.frontend), 0.2);
 }
@@ -255,7 +255,7 @@ TEST(Core, RejectsBadGeometry)
 {
     CoreConfig cfg;
     cfg.width = 0;
-    EXPECT_THROW(Core{cfg}, std::invalid_argument);
+    EXPECT_THROW(StreamCore{cfg}, std::invalid_argument);
 }
 
 TEST(CoreStats, DerivedMetricMath)
@@ -327,9 +327,8 @@ TEST(Core, MemoryLevelParallelismHelpsIndependentLoads)
         serial.push_back({0x400000, addr, OpClass::Load, false, 1, 0,
                           false});
     }
-    uarch::Core a, b;
-    double ipc_par = a.run(parallel).ipc();
-    double ipc_ser = b.run(serial).ipc();
+    double ipc_par = runTrace(parallel).ipc();
+    double ipc_ser = runTrace(serial).ipc();
     EXPECT_GT(ipc_par, ipc_ser * 3)
         << "an out-of-order core must overlap independent misses";
 }
@@ -348,9 +347,8 @@ TEST(Core, HigherMispredictPenaltyCostsMoreBadSpec)
     cheap.mispredictPenalty = 5;
     CoreConfig costly;
     costly.mispredictPenalty = 30;
-    Core a(cheap), b(costly);
-    auto sa = a.run(trace);
-    auto sb = b.run(trace);
+    auto sa = runTrace(trace, cheap);
+    auto sb = runTrace(trace, costly);
     EXPECT_GT(sb.slots.fraction(sb.slots.badSpec),
               sa.slots.fraction(sa.slots.badSpec) + 0.1);
     EXPECT_LT(sb.ipc(), sa.ipc());
@@ -369,9 +367,8 @@ TEST(Core, BetterFrontEndPredictorRaisesIpc)
     weak.predictorSpec = "bimodal-4KB";
     CoreConfig strong;
     strong.predictorSpec = "tage-64KB";
-    Core a(weak), b(strong);
-    auto sa = a.run(trace);
-    auto sb = b.run(trace);
+    auto sa = runTrace(trace, weak);
+    auto sb = runTrace(trace, strong);
     EXPECT_GT(sa.branchMissRatePercent(), sb.branchMissRatePercent() + 3.0);
     EXPECT_GT(sb.ipc(), sa.ipc());
 }
@@ -385,16 +382,14 @@ TEST(Core, LoadBufferFillsUnderMissFlood)
         trace.push_back({0x400000, 0x50000000ULL + static_cast<uint64_t>(i) * 4096,
                          OpClass::Load, false, 0, 0, false});
     }
-    Core core(cfg);
-    auto s = core.run(trace);
+    auto s = runTrace(trace, cfg);
     EXPECT_GT(s.stalls.loadBuf, 1000u);
 }
 
 TEST(Core, SimdThroughputBoundByPorts)
 {
     TraceOp op{0x400000, 0, OpClass::SimdAlu, false, 0, 0, false};
-    Core core;
-    CoreStats s = core.run(repeat(op, 30000));
+    CoreStats s = runTrace(repeat(op, 30000));
     EXPECT_LE(s.ipc(), 2.05) << "two SIMD ports";
     EXPECT_GT(s.ipc(), 1.7);
 }
@@ -402,8 +397,7 @@ TEST(Core, SimdThroughputBoundByPorts)
 TEST(Core, LongLatencySimdMulChainsStallRs)
 {
     TraceOp op{0x400000, 0, OpClass::SimdMul, false, 1, 0, false};
-    Core core;
-    CoreStats s = core.run(repeat(op, 10000));
+    CoreStats s = runTrace(repeat(op, 10000));
     EXPECT_LT(s.ipc(), 0.35) << "5-cycle serial multiply chain";
     EXPECT_GT(s.stalls.rs + s.stalls.rob, 1000u);
     EXPECT_GT(s.slots.backendCore, s.slots.backendMemory);
@@ -491,14 +485,13 @@ mixedTrace(int n)
 }
 
 /** Streaming must be invariant to delivery granularity: one op at a
- *  time, odd-sized batches, and one whole-trace batch (what Core::run
+ *  time, odd-sized batches, and one whole-trace batch (what runTrace
  *  does) all produce bit-identical statistics. */
 TEST(StreamCore, DeliveryGranularityInvariant)
 {
     std::vector<TraceOp> trace = mixedTrace(100000);
 
-    Core batch;
-    CoreStats expected = batch.run(trace);
+    CoreStats expected = runTrace(trace);
 
     StreamCore per_op;
     for (const TraceOp &op : trace) {
@@ -535,8 +528,7 @@ TEST(StreamCore, MatchesBatchOnEdgeTraces)
         trace.push_back({0, 0x100000 + static_cast<uint64_t>(i) * 64,
                          OpClass::Store, false, 0, 0, true});
     }
-    Core batch;
-    CoreStats expected = batch.run(trace);
+    CoreStats expected = runTrace(trace);
     StreamCore stream;
     for (const TraceOp &op : trace) {
         stream.onOp(op);
