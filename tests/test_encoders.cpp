@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "encoders/registry.hpp"
 #include "video/generator.hpp"
@@ -352,6 +356,142 @@ TEST(Lookahead, EmitsWorkThroughProbe)
     }
     EXPECT_GT(probe2.totalOps(), basic * 2)
         << "the thorough (x265) lookahead does much more work";
+}
+
+/**
+ * FNV-1a digest of everything an encode reports through its probe: the
+ * instruction mix, the instruction and drop counters, and every recorded
+ * op, branch and kernel entry in stream order. Any change to the probe's
+ * accounting or to the ops an instrumented kernel emits moves it.
+ */
+class DigestSink final : public trace::TraceSink
+{
+  public:
+    void
+    onOp(const trace::TraceOp &op) override
+    {
+        mix(0x4f);
+        mix(op.pc);
+        mix(op.addr);
+        mix(static_cast<uint64_t>(op.cls));
+        mix(op.taken);
+        mix(op.dep1);
+        mix(op.dep2);
+        mix(op.foreign);
+    }
+
+    void
+    onBranch(const trace::BranchRecord &branch) override
+    {
+        mix(0x42);
+        mix(branch.pc);
+        mix(branch.taken);
+    }
+
+    void
+    onKernel(uint64_t site) override
+    {
+        mix(0x4b);
+        mix(site);
+    }
+
+    void
+    mix(uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h_ = (h_ ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ULL;
+        }
+    }
+
+    uint64_t value() const { return h_; }
+
+  private:
+    uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+/** The three probe regimes the op-stream golden pins per encoder. */
+std::vector<trace::ProbeConfig>
+opStreamConfigs()
+{
+    // Sampled: windows, gaps and (after the cap fills) a dropping tail.
+    // Branch collection stays off so whole kernels can be charged at once.
+    trace::ProbeConfig sampled;
+    sampled.collectOps = true;
+    sampled.maxOps = 30'000;
+    sampled.opWindow = 700;
+    sampled.opInterval = 2'900;
+    // Mix counters plus a warmed-up, capped branch trace.
+    trace::ProbeConfig branches;
+    branches.collectBranches = true;
+    branches.maxBranches = 40'000;
+    branches.branchWarmupOps = 150'000;
+    return {sampled, trace::ProbeConfig::streaming(true), branches};
+}
+
+uint64_t
+opStreamDigest(const std::string &encoder, const trace::ProbeConfig &pc)
+{
+    auto enc = encoderByName(encoder);
+    EncodeParams p;
+    p.crf = enc->crfRange() * 5 / 8;
+    p.preset = enc->presetInverted() ? 3 : 5;
+    DigestSink sink;
+    EncodeResult r = enc->encode(tinyClip(3), p, pc, false, &sink);
+    for (uint64_t v : r.mix.byClass) {
+        sink.mix(v);
+    }
+    sink.mix(r.instructions);
+    sink.mix(r.droppedOps);
+    sink.mix(r.droppedBranches);
+    return sink.value();
+}
+
+TEST(OpStreamGolden, EveryEncoderAndProbeRegime)
+{
+    // Pinned bit for bit: the probe's fast paths and the SIMD kernels
+    // behind the instrumented wrappers must not move a single op.
+    const std::vector<std::pair<std::string, std::array<uint64_t, 3>>>
+        golden = {
+            {"SVT-AV1",
+             {14826302393560712283ULL, 6984151547388111713ULL,
+              6293238953385624413ULL}},
+            {"Libaom",
+             {5199587341678136610ULL, 7459511547631393796ULL,
+              4407092325262503245ULL}},
+            {"Libvpx-vp9",
+             {17905292904736126630ULL, 2489947521710888357ULL,
+              11366093741906647635ULL}},
+            {"x264",
+             {624556290366293700ULL, 14412267115686315511ULL,
+              5475791773207650196ULL}},
+            {"x265",
+             {755538599497701008ULL, 10665282208320962490ULL,
+              6709927186785088134ULL}},
+        };
+    const auto configs = opStreamConfigs();
+    for (const auto &[name, want] : golden) {
+        for (size_t i = 0; i < configs.size(); ++i) {
+            EXPECT_EQ(opStreamDigest(name, configs[i]), want[i])
+                << name << " probe config " << i;
+        }
+    }
+}
+
+TEST(OpStreamGolden, SampledConfigHitsEveryRegime)
+{
+    // The sampled config must exercise gaps, windows and the cap.
+    for (const char *name :
+         {"SVT-AV1", "Libaom", "Libvpx-vp9", "x264", "x265"}) {
+        auto enc = encoderByName(name);
+        EncodeParams p;
+        p.crf = enc->crfRange() * 5 / 8;
+        p.preset = enc->presetInverted() ? 3 : 5;
+        trace::VectorSink sink;
+        EncodeResult r =
+            enc->encode(tinyClip(3), p, opStreamConfigs()[0], false, &sink);
+        EXPECT_EQ(sink.ops().size(), 30'000u) << name;
+        EXPECT_GT(r.droppedOps, 0u) << name;
+    }
 }
 
 TEST(Slowness, PresetEndpointsMapCorrectly)
