@@ -2,7 +2,7 @@
  * @file
  * Kernel microbenchmarks (google-benchmark): host-side throughput of the
  * codec primitives (SAD, SATD, DCT, quantisation, range coding, intra
- * prediction) with and without an installed probe, quantifying the
+ * prediction, half-pel motion compensation) with and without an installed probe, quantifying the
  * instrumentation overhead that separates wall time from modeled
  * instruction counts.
  *
@@ -201,6 +201,34 @@ registerKernelSuite(const codec::KernelTable &t, const std::string &tag)
                         }
                     }
                     benchmark::DoNotOptimize(sum);
+                }
+                state.SetItemsProcessed(state.iterations() * n * n);
+            });
+        // Both half-pel phases: the costliest interpolation of each filter.
+        RegisterBenchmark(
+            ("BM_McSharp/" + tag + sz).c_str(),
+            [&t, n](benchmark::State &state) {
+                video::Plane ref = randomPlane(72, 72, 15);
+                video::Plane dst(64, 64);
+                const uint8_t *origin = ref.data() + ref.stride() + 1;
+                for (auto _ : state) {
+                    t.mcSharp(origin, ref.stride(), n, n, 1, 1, dst.data(),
+                              dst.stride());
+                    benchmark::DoNotOptimize(dst.data());
+                    benchmark::ClobberMemory();
+                }
+                state.SetItemsProcessed(state.iterations() * n * n);
+            });
+        RegisterBenchmark(
+            ("BM_McBilinear/" + tag + sz).c_str(),
+            [&t, n](benchmark::State &state) {
+                video::Plane ref = randomPlane(72, 72, 16);
+                video::Plane dst(64, 64);
+                for (auto _ : state) {
+                    t.mcBilinear(ref.data(), ref.stride(), n, n, 1, 1,
+                                 dst.data(), dst.stride());
+                    benchmark::DoNotOptimize(dst.data());
+                    benchmark::ClobberMemory();
                 }
                 state.SetItemsProcessed(state.iterations() * n * n);
             });

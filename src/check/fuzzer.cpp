@@ -12,6 +12,8 @@
 
 #include "bpred/runner.hpp"
 #include "codec/kernels.hpp"
+#include "codec/mc.hpp"
+#include "codec/sad.hpp"
 #include "codec/transform.hpp"
 #include "core/rng.hpp"
 #include "lab/json.hpp"
@@ -39,7 +41,7 @@ allTargets()
     static const std::vector<Target> kAll = {
         Target::Core,  Target::Cache,    Target::Bpred,  Target::Kernels,
         Target::Store, Target::Parallel, Target::Energy, Target::TraceFile,
-        Target::Ladder};
+        Target::Ladder, Target::Probe};
     return kAll;
 }
 
@@ -56,6 +58,7 @@ targetName(Target target)
       case Target::Energy: return "energy";
       case Target::TraceFile: return "tracefile";
       case Target::Ladder: return "ladder";
+      case Target::Probe: return "probe";
     }
     return "?";
 }
@@ -714,6 +717,144 @@ diffCacheSinks(const uarch::CacheSink &ref, const uarch::CacheSink &par)
     return out.str();
 }
 
+// ---------------------------------------------------------------------
+// Probe target helpers
+
+/** Flattens a probe's delivered stream into ProbeRecords. */
+class RecordSink final : public trace::TraceSink
+{
+  public:
+    void
+    onOp(const TraceOp &op) override
+    {
+        ProbeRecord r;
+        r.op = op;
+        records.push_back(r);
+    }
+
+    void
+    onBranch(const trace::BranchRecord &branch) override
+    {
+        ProbeRecord r;
+        r.kind = ProbeRecord::Branch;
+        r.value = branch.pc;
+        r.taken = branch.taken;
+        records.push_back(r);
+    }
+
+    void
+    onKernel(uint64_t site) override
+    {
+        ProbeRecord r;
+        r.kind = ProbeRecord::Kernel;
+        r.value = site;
+        records.push_back(r);
+    }
+
+    std::vector<ProbeRecord> records;
+};
+
+/** A sampling configuration small enough that every regime — gaps,
+ *  windows, a full cap, the dropping tail, branch warmup — shows up
+ *  within a few thousand emission calls. */
+trace::ProbeConfig
+randomProbeConfig(SplitMix64 &rng)
+{
+    trace::ProbeConfig c;
+    c.collectOps = !rng.chance(1, 8);
+    c.opInterval = rng.range(1, 400);
+    // Windows at or past the interval switch sampling off.
+    c.opWindow = rng.chance(1, 6) ? c.opInterval + rng.below(3)
+                                  : rng.below(c.opInterval);
+    c.maxOps = rng.chance(1, 4) ? std::numeric_limits<size_t>::max()
+                                : rng.below(3000);
+    c.profileSites = rng.chance(1, 5);
+    c.collectBranches = rng.chance(1, 2);
+    c.maxBranches = rng.chance(1, 4) ? std::numeric_limits<size_t>::max()
+                                     : rng.below(600);
+    c.branchWarmupOps = rng.chance(1, 2) ? 0 : rng.below(4000);
+    if (rng.chance(1, 10)) {
+        c = trace::ProbeConfig::streaming(rng.chance(1, 2));
+    }
+    return c;
+}
+
+std::string
+describeProbeConfig(const trace::ProbeConfig &c)
+{
+    std::ostringstream out;
+    out << "collectOps=" << c.collectOps << " window=" << c.opWindow
+        << " interval=" << c.opInterval << " maxOps=" << c.maxOps
+        << " profileSites=" << c.profileSites
+        << " collectBranches=" << c.collectBranches
+        << " maxBranches=" << c.maxBranches
+        << " warmup=" << c.branchWarmupOps;
+    return out.str();
+}
+
+/** First differing counter of two probes, or "" when they agree. */
+template <class A, class B>
+std::string
+diffProbeCounters(const A &want, const B &got)
+{
+    struct Row {
+        const char *name;
+        uint64_t want, got;
+    };
+    const Row rows[] = {
+        {"totalOps", want.totalOps(), got.totalOps()},
+        {"recordedOps", want.recordedOps(), got.recordedOps()},
+        {"droppedOps", want.droppedOps(), got.droppedOps()},
+        {"recordedBranches", want.recordedBranches(),
+         got.recordedBranches()},
+        {"droppedBranches", want.droppedBranches(), got.droppedBranches()},
+        {"branchTraceOpSpan", want.branchTraceOpSpan(),
+         got.branchTraceOpSpan()},
+    };
+    for (const Row &r : rows) {
+        if (r.want != r.got) {
+            return std::string(r.name) + " want=" + std::to_string(r.want) +
+                   " got=" + std::to_string(r.got);
+        }
+    }
+    return "";
+}
+
+std::string
+diffMix(const std::array<uint64_t, trace::kNumOpClasses> &want,
+        const std::array<uint64_t, trace::kNumOpClasses> &got)
+{
+    for (int i = 0; i < trace::kNumOpClasses; ++i) {
+        if (want[i] != got[i]) {
+            return "mix[" +
+                   std::string(trace::opClassName(
+                       static_cast<trace::OpClass>(i))) +
+                   "] want=" + std::to_string(want[i]) +
+                   " got=" + std::to_string(got[i]);
+        }
+    }
+    return "";
+}
+
+std::string
+diffRecords(const std::vector<ProbeRecord> &want,
+            const std::vector<ProbeRecord> &got)
+{
+    const size_t n = std::min(want.size(), got.size());
+    for (size_t i = 0; i < n; ++i) {
+        if (!(want[i] == got[i])) {
+            return "record " + std::to_string(i) + " differs (kind want=" +
+                   std::to_string(want[i].kind) +
+                   " got=" + std::to_string(got[i].kind) + ")";
+        }
+    }
+    if (want.size() != got.size()) {
+        return "record count want=" + std::to_string(want.size()) +
+               " got=" + std::to_string(got.size());
+    }
+    return "";
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -996,6 +1137,32 @@ Fuzzer::runKernelsCase(uint64_t seed, Divergence &out)
     fast.dequant(lv_s.data(), dq_f.data(), static_cast<int>(count), step);
     if (dq_s != dq_f) {
         return fail("dequant(n=" + std::to_string(n) + ")");
+    }
+
+    // Half-pel motion compensation: both filters at a random phase, the
+    // source keeping the filter margin (one pel before, two after).
+    const int phase = 1 + static_cast<int>(rng.below(3));
+    const int hx = phase & 1;
+    const int hy = phase >> 1;
+    const int mc_stride = w + 3 + static_cast<int>(rng.below(9));
+    std::vector<uint8_t> mc_src(static_cast<size_t>(mc_stride) * (h + 3));
+    for (uint8_t &x : mc_src) {
+        x = static_cast<uint8_t>(rng.next());
+    }
+    const uint8_t *origin = mc_src.data() + mc_stride + 1;
+    for (auto fn : {&codec::KernelTable::mcBilinear,
+                    &codec::KernelTable::mcSharp}) {
+        std::vector<uint8_t> mc_s(wh, 0), mc_f(wh, 0);
+        (scalar.*fn)(origin, mc_stride, w, h, hx, hy, mc_s.data(), w);
+        (fast.*fn)(origin, mc_stride, w, h, hx, hy, mc_f.data(), w);
+        if (mc_s != mc_f) {
+            return fail(std::string(fn == &codec::KernelTable::mcSharp
+                                        ? "mcSharp("
+                                        : "mcBilinear(") +
+                        std::to_string(w) + "x" + std::to_string(h) +
+                        " half=" + std::to_string(hx) + std::to_string(hy) +
+                        ")");
+        }
     }
     return false;
 }
@@ -1358,6 +1525,222 @@ Fuzzer::runTraceFileCase(uint64_t seed, Divergence &out)
 // ---------------------------------------------------------------------
 // Ladder target
 
+/**
+ * Probe differential. Part one drives trace::Probe and check::RefProbe
+ * with the same random emission sequence — every call shape, mid-run
+ * reset()s, several sampling regimes — and compares the counters after
+ * every call (droppedOps() included, so reads inside a dropping stretch
+ * are checked) and the full mix, site profile and delivered stream at
+ * each reset and at the end. Part two runs the real instrumented kernel
+ * wrappers, whose emitters charge whole quiet kernels at once, against
+ * the same wrappers on a probe with site profiling on, which takes the
+ * per-call path for every op.
+ */
+bool
+Fuzzer::runProbeCase(uint64_t seed, Divergence &out)
+{
+    SplitMix64 rng(seed);
+    const trace::ProbeConfig config = randomProbeConfig(rng);
+    const bool has_sink = !rng.chance(1, 10);
+    const bool fault = options_.inject == Fault::ProbeQuiet;
+
+    auto fail = [&](const std::string &what) {
+        out.target = Target::Probe;
+        out.seed = seed;
+        out.repro = reproCommand(Target::Probe, seed, options_.inject,
+                                 options_.quick);
+        out.detail = "probe divergence (" + describeProbeConfig(config) +
+                     " sink=" + std::to_string(has_sink) + "): " + what;
+        return true;
+    };
+
+    // ---- Part one: call-level differential against the reference.
+    trace::Probe probe(config);
+    probe.injectQuietFault(fault);
+    RecordSink sink;
+    if (has_sink) {
+        probe.setSink(&sink);
+    }
+    RefProbe ref(config, has_sink);
+    static const uint64_t kSites[] = {
+        trace::sitePc("check.probe.a"), trace::sitePc("check.probe.b"),
+        trace::sitePc("check.probe.c")};
+    auto full_diff = [&]() -> std::string {
+        std::string d = diffMix(ref.mix(), probe.mix().byClass);
+        if (!d.empty()) {
+            return d;
+        }
+        const std::map<uint64_t, uint64_t> sites(probe.siteOps().begin(),
+                                                 probe.siteOps().end());
+        if (sites != ref.siteOps()) {
+            return "siteOps differ";
+        }
+        if (has_sink) {
+            probe.flushToSink();
+            return diffRecords(ref.records(), sink.records);
+        }
+        return "";
+    };
+
+    const int calls = options_.quick ? static_cast<int>(rng.range(200, 2500))
+                                     : static_cast<int>(rng.range(200, 8000));
+    for (int i = 0; i < calls; ++i) {
+        const auto cls =
+            static_cast<trace::OpClass>(rng.below(trace::kNumOpClasses));
+        const uint8_t dep1 = static_cast<uint8_t>(rng.below(4));
+        const uint8_t dep2 = static_cast<uint8_t>(rng.below(4));
+        // Mostly short calls, some long enough to span windows.
+        const uint64_t n = rng.chance(1, 12) ? rng.below(1200) : rng.below(24);
+        const uint64_t addr = 0x10000000ULL + rng.below(1 << 20);
+        const uint64_t site = kSites[rng.below(3)];
+        const bool taken = rng.chance(1, 2);
+        std::string call;
+        switch (rng.below(9)) {
+          case 0: {
+            const int body = static_cast<int>(rng.below(40)) - 1;
+            probe.enterKernel(site, body);
+            ref.enterKernel(site, body);
+            call = "enterKernel";
+            break;
+          }
+          case 1:
+          case 2:
+            probe.ops(cls, n, dep1, dep2);
+            ref.ops(cls, n, dep1, dep2);
+            call = "ops(" + std::to_string(n) + ")";
+            break;
+          case 3:
+          case 4:
+            probe.mem(cls, addr, dep1);
+            ref.mem(cls, addr, dep1);
+            call = "mem";
+            break;
+          case 5: {
+            const int stride = static_cast<int>(rng.below(129)) - 64;
+            probe.memRun(cls, addr, static_cast<int>(n), stride, dep1);
+            ref.memRun(cls, addr, static_cast<int>(n), stride, dep1);
+            call = "memRun(" + std::to_string(n) + ")";
+            break;
+          }
+          case 6:
+            probe.decision(site, taken);
+            ref.decision(site, taken);
+            call = "decision";
+            break;
+          case 7:
+            probe.loopBranches(n);
+            ref.loopBranches(n);
+            call = "loopBranches(" + std::to_string(n) + ")";
+            break;
+          default:
+            if (rng.chance(1, 20)) {
+                if (std::string d = full_diff(); !d.empty()) {
+                    return fail("before reset at call " + std::to_string(i) +
+                                ": " + d);
+                }
+                probe.reset();
+                ref.reset();
+                sink.records.clear();
+                call = "reset";
+            } else {
+                probe.ops(cls, n, dep1, dep2);
+                ref.ops(cls, n, dep1, dep2);
+                call = "ops(" + std::to_string(n) + ")";
+            }
+            break;
+        }
+        if (std::string d = diffProbeCounters(ref, probe); !d.empty()) {
+            return fail("after call " + std::to_string(i) + " " + call +
+                        ": " + d);
+        }
+    }
+    if (std::string d = full_diff(); !d.empty()) {
+        return fail("at end: " + d);
+    }
+
+    // ---- Part two: kernel-granular bulk charges against per-call
+    // emission of the same kernels.
+    trace::ProbeConfig per_call = config;
+    per_call.profileSites = true;
+    trace::Probe bulk(config);
+    bulk.injectQuietFault(fault);
+    trace::Probe slow(per_call);
+    RecordSink bulk_sink, slow_sink;
+    if (has_sink) {
+        bulk.setSink(&bulk_sink);
+        slow.setSink(&slow_sink);
+    }
+    constexpr int kPlane = 96;
+    std::vector<uint8_t> plane(kPlane * kPlane), pred(64 * 64);
+    for (uint8_t &p : plane) {
+        p = static_cast<uint8_t>(rng.next());
+    }
+    std::vector<int16_t> res(64 * 64);
+    std::vector<int32_t> coeff(32 * 32);
+    const codec::PelView ref_view{plane.data(), kPlane, 0x20000000ULL};
+    static const int kDims[] = {4, 8, 16, 32, 64};
+    const int kernels = options_.quick ? 40 : 160;
+    const uint64_t kernel_seed = rng.fork();
+    auto run_kernels = [&](trace::Probe &p) {
+        trace::ProbeScope scope(&p);
+        SplitMix64 krng(kernel_seed);
+        for (int k = 0; k < kernels; ++k) {
+            const int w = kDims[krng.below(5)];
+            const int h = kDims[krng.below(5)];
+            const int x = static_cast<int>(krng.below(kPlane - w + 1));
+            const int y = static_cast<int>(krng.below(kPlane - h + 1));
+            codec::PelViewMut out{pred.data(), 64, 0x30000000ULL};
+            const codec::PelView a = ref_view.sub(x, y);
+            switch (krng.below(7)) {
+              case 0: codec::sad(a, ref_view, w, h); break;
+              case 1: codec::sse(a, ref_view, w, h); break;
+              case 2: codec::satd(a, ref_view, w, h); break;
+              case 3: {
+                const int n = 4 << krng.below(4);
+                codec::forwardDct(res.data(), coeff.data(), n, 0x40000000ULL,
+                                  0x50000000ULL);
+                codec::inverseDct(coeff.data(), res.data(), n, 0x50000000ULL,
+                                  0x40000000ULL);
+                break;
+              }
+              case 4:
+              case 5: {
+                const codec::MotionVector mv{
+                    static_cast<int>(krng.below(33)) - 16,
+                    static_cast<int>(krng.below(33)) - 16};
+                codec::motionCompensate(ref_view, kPlane, kPlane, x, y, w, h,
+                                        mv, out, krng.chance(1, 2));
+                break;
+              }
+              default:
+                trace::emitControl(p, kSites[krng.below(3)],
+                                   static_cast<int>(krng.below(40)),
+                                   0x60000000ULL, 0x70000000ULL,
+                                   krng.below(64));
+                break;
+            }
+            // Interleave primitive calls so kernels start at every
+            // offset relative to the window.
+            p.ops(trace::OpClass::Alu, krng.below(300), 1);
+        }
+        p.flushToSink();
+    };
+    run_kernels(bulk);
+    run_kernels(slow);
+    if (std::string d = diffProbeCounters(slow, bulk); !d.empty()) {
+        return fail("kernel emitters: " + d);
+    }
+    if (std::string d = diffMix(slow.mix().byClass, bulk.mix().byClass);
+        !d.empty()) {
+        return fail("kernel emitters: " + d);
+    }
+    if (std::string d = diffRecords(slow_sink.records, bulk_sink.records);
+        !d.empty()) {
+        return fail("kernel emitters: " + d);
+    }
+    return false;
+}
+
 bool
 Fuzzer::runLadderCase(uint64_t seed, Divergence &out)
 {
@@ -1571,6 +1954,7 @@ Fuzzer::runCase(Target target, uint64_t seed, Divergence &out)
       case Target::Energy: return runEnergyCase(seed, out);
       case Target::TraceFile: return runTraceFileCase(seed, out);
       case Target::Ladder: return runLadderCase(seed, out);
+      case Target::Probe: return runProbeCase(seed, out);
     }
     return false;
 }
@@ -1596,6 +1980,8 @@ Fuzzer::itersFor(Target target) const
       case Target::TraceFile: return options_.quick ? 6 : 30;
       // Hull arithmetic plus two small-plane scaler round trips: cheap.
       case Target::Ladder: return options_.quick ? 40 : 300;
+      // A few thousand emission calls per case against two probes.
+      case Target::Probe: return options_.quick ? 150 : 1000;
     }
     return 1;
 }

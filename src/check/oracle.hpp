@@ -21,7 +21,9 @@
  * --inject=cache-lru` must fail — and is never enabled in real checks.
  */
 
+#include <array>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,6 +31,7 @@
 #include "backend/profile.hpp"
 #include "bpred/predictor.hpp"
 #include "bpred/tage.hpp"
+#include "trace/probe.hpp"
 #include "trace/sink.hpp"
 #include "uarch/cache.hpp"
 #include "uarch/core.hpp"
@@ -54,6 +57,9 @@ enum class Fault {
     LadderHull,     ///< Hull oracle tests the chord with a strict cross
                     ///< (< 0 instead of <= 0), so collinear rungs that
                     ///< the real ladder drops stay on the oracle's hull.
+    ProbeQuiet,     ///< The probe under test sizes every quiet budget one
+                    ///< op too long (Probe::injectQuietFault), so a fast
+                    ///< call can run over a window or interval boundary.
 };
 
 /** CLI name of a fault ("cache-lru", ...; "none" for Fault::None). */
@@ -235,6 +241,96 @@ makeRefPredictor(const std::string &spec, Fault fault = Fault::None);
 uarch::CoreStats refCoreRun(const uarch::CoreConfig &config,
                             const std::vector<trace::TraceOp> &trace,
                             Fault fault = Fault::None);
+
+/** One record of the stream a probe delivers, flattened: an op, a
+ *  branch of the CBP trace, or a kernel entry. */
+struct ProbeRecord {
+    enum Kind : uint8_t { Op, Branch, Kernel };
+    Kind kind = Op;
+    trace::TraceOp op{};  ///< Op records.
+    uint64_t value = 0;   ///< Branch PC or kernel site.
+    bool taken = false;   ///< Branch direction.
+
+    bool operator==(const ProbeRecord &o) const;
+};
+
+/**
+ * Reference instrumentation probe: the per-call semantics of
+ * trace::Probe written plainly — a modulo per call for the sampling
+ * window, no quiet budget, no dropping stretch, no staging blocks, and
+ * a flat record list in place of a sink. It keeps the two quirks of
+ * the real probe's accounting, because they decide which ops a trace
+ * holds:
+ *
+ *  - a call that starts outside the window records nothing, even when
+ *    its ops run into the next window;
+ *  - enterKernel records only its call/preamble pair, and only when at
+ *    least two of its four ops fall in the window and under the cap.
+ *
+ * Kernel entries are deferred exactly as the real probe defers them:
+ * the pending site is emitted before the next op recorded by enterKernel,
+ * mem or decision, or the next branch; ops, memRun and loopBranches
+ * record without emitting it. With @p has_sink false no kernel entry is
+ * ever pending (the real probe only defers them for a sink).
+ */
+class RefProbe
+{
+  public:
+    RefProbe(const trace::ProbeConfig &config, bool has_sink);
+
+    void enterKernel(uint64_t site, int body_len);
+    void ops(trace::OpClass cls, uint64_t n, uint8_t dep1, uint8_t dep2);
+    void mem(trace::OpClass cls, uint64_t addr, uint8_t dep1);
+    void memRun(trace::OpClass cls, uint64_t addr, int n, int stride,
+                uint8_t dep1);
+    void decision(uint64_t site, bool taken);
+    void loopBranches(uint64_t iterations);
+    /** Back to a new probe's state, records included. */
+    void reset();
+
+    const std::array<uint64_t, trace::kNumOpClasses> &mix() const
+    {
+        return mix_;
+    }
+    uint64_t totalOps() const { return seq_; }
+    uint64_t recordedOps() const { return ops_recorded_; }
+    uint64_t recordedBranches() const { return branches_recorded_; }
+    uint64_t droppedOps() const { return dropped_ops_; }
+    uint64_t droppedBranches() const { return dropped_branches_; }
+    uint64_t branchTraceOpSpan() const
+    {
+        return branch_last_ - branch_first_;
+    }
+    const std::map<uint64_t, uint64_t> &siteOps() const { return site_ops_; }
+    const std::vector<ProbeRecord> &records() const { return records_; }
+
+  private:
+    uint64_t take(uint64_t n);
+    uint64_t nextPc();
+    void emitPending();
+    void recordOp(const trace::TraceOp &op);
+    void recordBranch(uint64_t pc, bool taken);
+
+    trace::ProbeConfig config_;
+    bool has_sink_;
+    std::array<uint64_t, trace::kNumOpClasses> mix_{};
+    uint64_t seq_ = 0;
+    uint64_t site_base_;
+    uint64_t body_len_ = 32;
+    uint64_t site_pos_ = 0;
+    bool profiling_ = false;
+    uint64_t profiled_site_ = 0;
+    bool pending_ = false;
+    uint64_t pending_site_ = 0;
+    uint64_t ops_recorded_ = 0;
+    uint64_t branches_recorded_ = 0;
+    uint64_t dropped_ops_ = 0;
+    uint64_t dropped_branches_ = 0;
+    uint64_t branch_first_ = 0;
+    uint64_t branch_last_ = 0;
+    std::map<uint64_t, uint64_t> site_ops_;
+    std::vector<ProbeRecord> records_;
+};
 
 /**
  * Reference energy model for Kind::Core profiles: an independent

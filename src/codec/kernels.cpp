@@ -250,6 +250,53 @@ lerpblendScalar(const uint8_t *a, const uint8_t *b, int w6, uint8_t *dst,
     }
 }
 
+void
+mcBilinearScalar(const uint8_t *src, int src_stride, int w, int h,
+                 int half_x, int half_y, uint8_t *dst, int dst_stride)
+{
+    for (int y = 0; y < h; ++y) {
+        const uint8_t *r0 = src + static_cast<ptrdiff_t>(y) * src_stride;
+        const uint8_t *r1 = r0 + (half_y ? src_stride : 0);
+        uint8_t *out = dst + static_cast<ptrdiff_t>(y) * dst_stride;
+        for (int x = 0; x < w; ++x) {
+            int x1 = x + (half_x ? 1 : 0);
+            int v = r0[x] + r0[x1] + r1[x] + r1[x1] + 2;
+            out[x] = static_cast<uint8_t>(v >> 2);
+        }
+    }
+}
+
+/** (-a + 5b + 5c - d + 4) >> 3, clamped to a pel. */
+inline uint8_t
+tap4(int a, int b, int c, int d)
+{
+    int v = (-a + 5 * b + 5 * c - d + 4) >> 3;
+    return static_cast<uint8_t>(std::clamp(v, 0, 255));
+}
+
+void
+mcSharpScalar(const uint8_t *src, int src_stride, int w, int h, int half_x,
+              int half_y, uint8_t *dst, int dst_stride)
+{
+    const ptrdiff_t s = src_stride;
+    for (int y = 0; y < h; ++y) {
+        const uint8_t *r = src + static_cast<ptrdiff_t>(y) * s;
+        uint8_t *out = dst + static_cast<ptrdiff_t>(y) * dst_stride;
+        for (int x = 0; x < w; ++x) {
+            const uint8_t *p = r + x;
+            if (half_x && half_y) {
+                uint8_t h0 = tap4(p[-1], p[0], p[1], p[2]);
+                uint8_t h1 = tap4(p[s - 1], p[s], p[s + 1], p[s + 2]);
+                out[x] = static_cast<uint8_t>((h0 + h1 + 1) >> 1);
+            } else if (half_x) {
+                out[x] = tap4(p[-1], p[0], p[1], p[2]);
+            } else {
+                out[x] = tap4(p[-s], p[0], p[s], p[2 * s]);
+            }
+        }
+    }
+}
+
 const KernelTable &
 resolveTable()
 {
@@ -300,6 +347,8 @@ scalarKernels()
         t.dequant = dequantScalar;
         t.boxdown = boxdownScalar;
         t.lerpblend = lerpblendScalar;
+        t.mcBilinear = mcBilinearScalar;
+        t.mcSharp = mcSharpScalar;
         return t;
     }();
     return table;

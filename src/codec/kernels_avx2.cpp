@@ -17,6 +17,9 @@
  *  - quant/dequant perform the same IEEE-754 double operations as the
  *    scalar loop, and cvttpd truncates toward zero exactly like the
  *    scalar int cast.
+ *  - The motion-compensation filters keep every intermediate inside
+ *    s16 and replace the clamp and the rounding averages with the
+ *    saturating pack and avg_epu8, which compute them exactly.
  */
 
 #include "codec/kernels.hpp"
@@ -645,6 +648,153 @@ lerpblendAvx2(const uint8_t *a, const uint8_t *b, int w6, uint8_t *dst,
     }
 }
 
+// ------------------------------------------------ motion compensation
+//
+// The 4-tap sum -a + 5(b + c) - d + 4 lies in [-506, 2554], so it is
+// exact in s16 lanes; srai is the scalar arithmetic >> 3, and the
+// unsigned-saturating pack is the scalar clamp to [0, 255]. avg_epu8 is
+// exactly (x + y + 1) >> 1, which is both the both-phase average of the
+// sharp filter and the single-phase bilinear (2x + 2y + 2) >> 2.
+
+inline __m256i
+widen16(const uint8_t *p)
+{
+    return _mm256_cvtepu8_epi16(
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(p)));
+}
+
+inline __m128i
+widen8(const uint8_t *p)
+{
+    return _mm_cvtepu8_epi16(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i *>(p)));
+}
+
+/** Sixteen 4-tap outputs from the taps at p - step, p, p + step and
+ *  p + 2 * step, packed to pels. */
+inline __m128i
+tap4x16(const uint8_t *p, ptrdiff_t step)
+{
+    const __m256i five = _mm256_set1_epi16(5);
+    const __m256i four = _mm256_set1_epi16(4);
+    __m256i bc = _mm256_add_epi16(widen16(p), widen16(p + step));
+    __m256i ad = _mm256_add_epi16(widen16(p - step), widen16(p + 2 * step));
+    __m256i v = _mm256_srai_epi16(
+        _mm256_sub_epi16(_mm256_add_epi16(_mm256_mullo_epi16(bc, five), four),
+                         ad),
+        3);
+    return _mm_packus_epi16(_mm256_castsi256_si128(v),
+                            _mm256_extracti128_si256(v, 1));
+}
+
+/** Eight 4-tap outputs (see tap4x16), in the low half of the result. */
+inline __m128i
+tap4x8(const uint8_t *p, ptrdiff_t step)
+{
+    const __m128i five = _mm_set1_epi16(5);
+    const __m128i four = _mm_set1_epi16(4);
+    __m128i bc = _mm_add_epi16(widen8(p), widen8(p + step));
+    __m128i ad = _mm_add_epi16(widen8(p - step), widen8(p + 2 * step));
+    __m128i v = _mm_srai_epi16(
+        _mm_sub_epi16(_mm_add_epi16(_mm_mullo_epi16(bc, five), four), ad), 3);
+    return _mm_packus_epi16(v, v);
+}
+
+inline uint8_t
+tap4Scalar(const uint8_t *p, ptrdiff_t step)
+{
+    int v = (-p[-step] + 5 * p[0] + 5 * p[step] - p[2 * step] + 4) >> 3;
+    return static_cast<uint8_t>(v < 0 ? 0 : (v > 255 ? 255 : v));
+}
+
+void
+mcSharpAvx2(const uint8_t *src, int src_stride, int w, int h, int half_x,
+            int half_y, uint8_t *dst, int dst_stride)
+{
+    const ptrdiff_t s = src_stride;
+    // One tap direction: horizontal for half_x (with a second row when
+    // half_y is also set), vertical for half_y alone.
+    const ptrdiff_t step = half_x ? 1 : s;
+    const bool both = half_x && half_y;
+    for (int y = 0; y < h; ++y) {
+        const uint8_t *r = src + static_cast<ptrdiff_t>(y) * s;
+        uint8_t *out = dst + static_cast<ptrdiff_t>(y) * dst_stride;
+        int x = 0;
+        for (; x + 16 <= w; x += 16) {
+            __m128i v = tap4x16(r + x, step);
+            if (both) {
+                v = _mm_avg_epu8(v, tap4x16(r + s + x, step));
+            }
+            _mm_storeu_si128(reinterpret_cast<__m128i *>(out + x), v);
+        }
+        for (; x + 8 <= w; x += 8) {
+            __m128i v = tap4x8(r + x, step);
+            if (both) {
+                v = _mm_avg_epu8(v, tap4x8(r + s + x, step));
+            }
+            _mm_storel_epi64(reinterpret_cast<__m128i *>(out + x), v);
+        }
+        for (; x < w; ++x) {
+            uint8_t v = tap4Scalar(r + x, step);
+            if (both) {
+                v = static_cast<uint8_t>(
+                    (v + tap4Scalar(r + s + x, step) + 1) >> 1);
+            }
+            out[x] = v;
+        }
+    }
+}
+
+void
+mcBilinearAvx2(const uint8_t *src, int src_stride, int w, int h, int half_x,
+               int half_y, uint8_t *dst, int dst_stride)
+{
+    const ptrdiff_t dx = half_x ? 1 : 0;
+    const ptrdiff_t dy = half_y ? src_stride : 0;
+    const __m256i two = _mm256_set1_epi16(2);
+    for (int y = 0; y < h; ++y) {
+        const uint8_t *r0 = src + static_cast<ptrdiff_t>(y) * src_stride;
+        const uint8_t *r1 = r0 + dy;
+        uint8_t *out = dst + static_cast<ptrdiff_t>(y) * dst_stride;
+        int x = 0;
+        if (half_x && half_y) {
+            for (; x + 16 <= w; x += 16) {
+                __m256i sum = _mm256_add_epi16(
+                    _mm256_add_epi16(widen16(r0 + x), widen16(r0 + x + 1)),
+                    _mm256_add_epi16(widen16(r1 + x), widen16(r1 + x + 1)));
+                sum = _mm256_srli_epi16(_mm256_add_epi16(sum, two), 2);
+                _mm_storeu_si128(
+                    reinterpret_cast<__m128i *>(out + x),
+                    _mm_packus_epi16(_mm256_castsi256_si128(sum),
+                                     _mm256_extracti128_si256(sum, 1)));
+            }
+        } else {
+            // One phase: the bilinear sum is 2 (a + b) + 2.
+            const ptrdiff_t off = dx + dy;
+            for (; x + 32 <= w; x += 32) {
+                __m256i a = _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i *>(r0 + x));
+                __m256i b = _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i *>(r0 + off + x));
+                _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + x),
+                                    _mm256_avg_epu8(a, b));
+            }
+            for (; x + 16 <= w; x += 16) {
+                __m128i a =
+                    _mm_loadu_si128(reinterpret_cast<const __m128i *>(r0 + x));
+                __m128i b = _mm_loadu_si128(
+                    reinterpret_cast<const __m128i *>(r0 + off + x));
+                _mm_storeu_si128(reinterpret_cast<__m128i *>(out + x),
+                                 _mm_avg_epu8(a, b));
+            }
+        }
+        for (; x < w; ++x) {
+            int v = r0[x] + r0[x + dx] + r1[x] + r1[x + dx] + 2;
+            out[x] = static_cast<uint8_t>(v >> 2);
+        }
+    }
+}
+
 } // namespace
 
 namespace detail
@@ -668,6 +818,8 @@ avx2KernelsImpl()
         t.dequant = dequantAvx2;
         t.boxdown = boxdownAvx2;
         t.lerpblend = lerpblendAvx2;
+        t.mcBilinear = mcBilinearAvx2;
+        t.mcSharp = mcSharpAvx2;
         return t;
     }();
     return &table;

@@ -327,6 +327,96 @@ lerpblendNeon(const uint8_t *a, const uint8_t *b, int w6, uint8_t *dst,
     }
 }
 
+// ------------------------------------------------ motion compensation
+//
+// Same exactness argument as the AVX2 versions: the 4-tap sum lies in
+// [-506, 2554] (exact in s16), vqmovun_s16 is the clamp to [0, 255], and
+// vrhadd is exactly (x + y + 1) >> 1.
+
+/** Eight 4-tap outputs from the taps at p - step, p, p + step and
+ *  p + 2 * step. */
+inline uint8x8_t
+tap4x8Neon(const uint8_t *p, ptrdiff_t step)
+{
+    int16x8_t bc =
+        vreinterpretq_s16_u16(vaddl_u8(vld1_u8(p), vld1_u8(p + step)));
+    int16x8_t ad = vreinterpretq_s16_u16(
+        vaddl_u8(vld1_u8(p - step), vld1_u8(p + 2 * step)));
+    int16x8_t v =
+        vsubq_s16(vaddq_s16(vmulq_n_s16(bc, 5), vdupq_n_s16(4)), ad);
+    return vqmovun_s16(vshrq_n_s16(v, 3));
+}
+
+inline uint8_t
+tap4ScalarNeon(const uint8_t *p, ptrdiff_t step)
+{
+    int v = (-p[-step] + 5 * p[0] + 5 * p[step] - p[2 * step] + 4) >> 3;
+    return static_cast<uint8_t>(v < 0 ? 0 : (v > 255 ? 255 : v));
+}
+
+void
+mcSharpNeon(const uint8_t *src, int src_stride, int w, int h, int half_x,
+            int half_y, uint8_t *dst, int dst_stride)
+{
+    const ptrdiff_t s = src_stride;
+    const ptrdiff_t step = half_x ? 1 : s;
+    const bool both = half_x && half_y;
+    for (int y = 0; y < h; ++y) {
+        const uint8_t *r = src + static_cast<ptrdiff_t>(y) * s;
+        uint8_t *out = dst + static_cast<ptrdiff_t>(y) * dst_stride;
+        int x = 0;
+        for (; x + 8 <= w; x += 8) {
+            uint8x8_t v = tap4x8Neon(r + x, step);
+            if (both) {
+                v = vrhadd_u8(v, tap4x8Neon(r + s + x, step));
+            }
+            vst1_u8(out + x, v);
+        }
+        for (; x < w; ++x) {
+            uint8_t v = tap4ScalarNeon(r + x, step);
+            if (both) {
+                v = static_cast<uint8_t>(
+                    (v + tap4ScalarNeon(r + s + x, step) + 1) >> 1);
+            }
+            out[x] = v;
+        }
+    }
+}
+
+void
+mcBilinearNeon(const uint8_t *src, int src_stride, int w, int h, int half_x,
+               int half_y, uint8_t *dst, int dst_stride)
+{
+    const ptrdiff_t dx = half_x ? 1 : 0;
+    const ptrdiff_t dy = half_y ? src_stride : 0;
+    const uint16x8_t two = vdupq_n_u16(2);
+    for (int y = 0; y < h; ++y) {
+        const uint8_t *r0 = src + static_cast<ptrdiff_t>(y) * src_stride;
+        const uint8_t *r1 = r0 + dy;
+        uint8_t *out = dst + static_cast<ptrdiff_t>(y) * dst_stride;
+        int x = 0;
+        if (half_x && half_y) {
+            for (; x + 8 <= w; x += 8) {
+                uint16x8_t sum =
+                    vaddq_u16(vaddl_u8(vld1_u8(r0 + x), vld1_u8(r0 + x + 1)),
+                              vaddl_u8(vld1_u8(r1 + x), vld1_u8(r1 + x + 1)));
+                vst1_u8(out + x, vshrn_n_u16(vaddq_u16(sum, two), 2));
+            }
+        } else {
+            // One phase: the bilinear sum is 2 (a + b) + 2.
+            const ptrdiff_t off = dx + dy;
+            for (; x + 16 <= w; x += 16) {
+                vst1q_u8(out + x,
+                         vrhaddq_u8(vld1q_u8(r0 + x), vld1q_u8(r0 + off + x)));
+            }
+        }
+        for (; x < w; ++x) {
+            int v = r0[x] + r0[x + dx] + r1[x] + r1[x + dx] + 2;
+            out[x] = static_cast<uint8_t>(v >> 2);
+        }
+    }
+}
+
 } // namespace
 
 namespace detail
@@ -346,6 +436,8 @@ neonKernelsImpl()
         t.reconstruct = reconstructNeon;
         t.boxdown = boxdownNeon;
         t.lerpblend = lerpblendNeon;
+        t.mcBilinear = mcBilinearNeon;
+        t.mcSharp = mcSharpNeon;
         return t;
     }();
     return &table;

@@ -4,6 +4,7 @@
 #include <array>
 #include <limits>
 
+#include "codec/kernels.hpp"
 #include "codec/sad.hpp"
 #include "trace/probe.hpp"
 
@@ -40,6 +41,92 @@ tap4(int a, int b, int c, int d)
     return static_cast<uint8_t>(std::clamp(v, 0, 255));
 }
 
+/**
+ * The 4-tap filter with every tap clamped into the plane (edge
+ * replication): the exact fallback for blocks whose footprint crosses
+ * the plane edge, where the kernel table's raw-pointer filter would read
+ * outside the plane.
+ */
+void
+sharpClamped(const PelView &ref, int ref_w, int ref_h, int fx, int fy, int w,
+             int h, bool half_x, bool half_y, PelViewMut dst)
+{
+    auto sample = [&](int x, int y) -> int {
+        x = std::clamp(x + fx, 0, ref_w - 1);
+        y = std::clamp(y + fy, 0, ref_h - 1);
+        return ref.pel[static_cast<ptrdiff_t>(y) * ref.stride + x];
+    };
+    for (int y = 0; y < h; ++y) {
+        uint8_t *out = dst.row(y);
+        for (int x = 0; x < w; ++x) {
+            if (half_x && half_y) {
+                // Horizontal pass at two rows, then vertical average.
+                uint8_t h0 = tap4(sample(x - 1, y), sample(x, y),
+                                  sample(x + 1, y), sample(x + 2, y));
+                uint8_t h1 = tap4(sample(x - 1, y + 1), sample(x, y + 1),
+                                  sample(x + 1, y + 1), sample(x + 2, y + 1));
+                out[x] = static_cast<uint8_t>((h0 + h1 + 1) >> 1);
+            } else if (half_x) {
+                out[x] = tap4(sample(x - 1, y), sample(x, y),
+                              sample(x + 1, y), sample(x + 2, y));
+            } else {
+                out[x] = tap4(sample(x, y - 1), sample(x, y),
+                              sample(x, y + 1), sample(x, y + 2));
+            }
+        }
+    }
+}
+
+/** The modeled AVX2 op stream of one compensated block (codec.mc). */
+void
+probeMc(Probe *p, const PelView &src, PelViewMut dst, int w, int h,
+        bool interp, bool sharp_subpel)
+{
+    static const uint64_t site = sitePc("codec.mc");
+    int chunks = std::max(1, w / 32);
+    if (h >= 0) {
+        const uint64_t n = static_cast<uint64_t>(h) * chunks;
+        const bool sharp = interp && sharp_subpel;
+        trace::MixCounters body;
+        body.byClass[static_cast<int>(OpClass::SimdLoad)] =
+            n * (1 + (interp ? 1 : 0) + (sharp ? 1 : 0));
+        body.byClass[static_cast<int>(OpClass::SimdAlu)] =
+            n * ((interp ? 4 : 0) + (sharp ? 3 : 0));
+        body.byClass[static_cast<int>(OpClass::SimdMul)] = n * (sharp ? 2 : 0);
+        body.byClass[static_cast<int>(OpClass::SimdStore)] = n;
+        body.byClass[static_cast<int>(OpClass::Alu)] =
+            2 * static_cast<uint64_t>(h);
+        body.byClass[static_cast<int>(OpClass::BranchCond)] =
+            static_cast<uint64_t>(h);
+        if (p->quietKernel(site, 10, body)) {
+            return;
+        }
+    }
+    p->enterKernel(site, 10);
+    for (int y = 0; y < h; ++y) {
+        for (int c = 0; c < chunks; ++c) {
+            p->mem(OpClass::SimdLoad,
+                   src.vaddr + static_cast<uint64_t>(y) * src.stride + c * 32);
+            if (interp) {
+                p->mem(OpClass::SimdLoad,
+                       src.vaddr + static_cast<uint64_t>(y + 1) * src.stride + c * 32);
+                p->ops(OpClass::SimdAlu, 4, 1, 2);  // avg taps
+                if (sharp_subpel) {
+                    // Extra tap loads + multiply-accumulate chain.
+                    p->mem(OpClass::SimdLoad,
+                           src.vaddr + static_cast<uint64_t>(y + 2) * src.stride + c * 32);
+                    p->ops(OpClass::SimdMul, 2, 1, 2);
+                    p->ops(OpClass::SimdAlu, 3, 1);
+                }
+            }
+            p->mem(OpClass::SimdStore,
+                   dst.vaddr + static_cast<uint64_t>(y) * dst.stride + c * 32, 1);
+        }
+        p->ops(OpClass::Alu, 2, 1);
+    }
+    p->loopBranches(h);
+}
+
 } // namespace
 
 void
@@ -58,75 +145,31 @@ motionCompensate(const PelView &ref, int ref_w, int ref_h, int bx, int by,
         for (int y = 0; y < h; ++y) {
             std::copy(src.row(y), src.row(y) + w, dst.row(y));
         }
-    } else if (sharp_subpel) {
-        // Separable 4-tap: sharper than bilinear (the HEVC/AV1 class of
-        // filters). Taps clamped to the plane via the caller's clampMv
-        // margin plus edge replication here.
-        auto sample = [&](int x, int y) -> int {
-            x = std::clamp(x + fx, 0, ref_w - 1);
-            y = std::clamp(y + fy, 0, ref_h - 1);
-            return ref.pel[static_cast<ptrdiff_t>(y) * ref.stride + x];
-        };
-        for (int y = 0; y < h; ++y) {
-            uint8_t *out = dst.row(y);
-            for (int x = 0; x < w; ++x) {
-                if (half_x && half_y) {
-                    // Horizontal pass at two rows, then vertical average.
-                    uint8_t h0 = tap4(sample(x - 1, y), sample(x, y),
-                                      sample(x + 1, y), sample(x + 2, y));
-                    uint8_t h1 = tap4(sample(x - 1, y + 1), sample(x, y + 1),
-                                      sample(x + 1, y + 1),
-                                      sample(x + 2, y + 1));
-                    out[x] = static_cast<uint8_t>((h0 + h1 + 1) >> 1);
-                } else if (half_x) {
-                    out[x] = tap4(sample(x - 1, y), sample(x, y),
-                                  sample(x + 1, y), sample(x + 2, y));
-                } else {
-                    out[x] = tap4(sample(x, y - 1), sample(x, y),
-                                  sample(x, y + 1), sample(x, y + 2));
-                }
-            }
-        }
+    } else if (!sharp_subpel) {
+        // clampMv keeps the bilinear footprint (the block plus one pel
+        // along each half-pel axis) inside the plane.
+        kernels().mcBilinear(src.pel, src.stride, w, h, half_x, half_y,
+                             dst.pel, dst.stride);
     } else {
-        for (int y = 0; y < h; ++y) {
-            const uint8_t *r0 = src.row(y);
-            const uint8_t *r1 = src.row(y + (half_y ? 1 : 0));
-            uint8_t *out = dst.row(y);
-            for (int x = 0; x < w; ++x) {
-                int x1 = x + (half_x ? 1 : 0);
-                int v = r0[x] + r0[x1] + r1[x] + r1[x1] + 2;
-                out[x] = static_cast<uint8_t>(v >> 2);
-            }
+        // Separable 4-tap: sharper than bilinear (the HEVC/AV1 class of
+        // filters). The taps reach one pel before and two past the block
+        // along a half-pel axis, or one row below for the both-phase
+        // average; clampMv's margin does not cover that, so blocks at
+        // the plane edge replicate edge pels instead.
+        const int lo_x = half_x ? 1 : 0, hi_x = half_x ? 2 : 0;
+        const int lo_y = half_x ? 0 : 1, hi_y = half_x ? half_y : 2;
+        if (fx - lo_x >= 0 && fx + w - 1 + hi_x < ref_w && fy - lo_y >= 0 &&
+            fy + h - 1 + hi_y < ref_h) {
+            kernels().mcSharp(src.pel, src.stride, w, h, half_x, half_y,
+                              dst.pel, dst.stride);
+        } else {
+            sharpClamped(ref, ref_w, ref_h, fx, fy, w, h, half_x, half_y,
+                         dst);
         }
     }
 
     if (Probe *p = currentProbe()) {
-        static const uint64_t site = sitePc("codec.mc");
-        p->enterKernel(site, 10);
-        int chunks = std::max(1, w / 32);
-        bool interp = half_x || half_y;
-        for (int y = 0; y < h; ++y) {
-            for (int c = 0; c < chunks; ++c) {
-                p->mem(OpClass::SimdLoad,
-                       src.vaddr + static_cast<uint64_t>(y) * src.stride + c * 32);
-                if (interp) {
-                    p->mem(OpClass::SimdLoad,
-                           src.vaddr + static_cast<uint64_t>(y + 1) * src.stride + c * 32);
-                    p->ops(OpClass::SimdAlu, 4, 1, 2);  // avg taps
-                    if (sharp_subpel) {
-                        // Extra tap loads + multiply-accumulate chain.
-                        p->mem(OpClass::SimdLoad,
-                               src.vaddr + static_cast<uint64_t>(y + 2) * src.stride + c * 32);
-                        p->ops(OpClass::SimdMul, 2, 1, 2);
-                        p->ops(OpClass::SimdAlu, 3, 1);
-                    }
-                }
-                p->mem(OpClass::SimdStore,
-                       dst.vaddr + static_cast<uint64_t>(y) * dst.stride + c * 32, 1);
-            }
-            p->ops(OpClass::Alu, 2, 1);
-        }
-        p->loopBranches(h);
+        probeMc(p, src, dst, w, h, half_x || half_y, sharp_subpel);
     }
 }
 

@@ -29,11 +29,26 @@ void
 probeRowKernel(Probe *p, uint64_t site, const PelView &a, const PelView &b,
                int w, int h, int alu_per_chunk)
 {
-    p->enterKernel(site, 8);
     // A 256-bit lane covers 32 pixels; narrow blocks still issue one
     // (masked) vector load per operand per row. Row loops are unrolled
     // four deep, as the real AVX2 kernels are.
     int chunks_per_row = std::max(1, w / 32);
+    if (h >= 0 && alu_per_chunk >= 0) {
+        const uint64_t chunks = static_cast<uint64_t>(h) * chunks_per_row;
+        trace::MixCounters body;
+        body.byClass[static_cast<int>(OpClass::SimdLoad)] = 2 * chunks;
+        body.byClass[static_cast<int>(OpClass::SimdAlu)] =
+            chunks * static_cast<uint64_t>(alu_per_chunk);
+        body.byClass[static_cast<int>(OpClass::Alu)] =
+            2 * static_cast<uint64_t>(h / 4) + 2;
+        body.byClass[static_cast<int>(OpClass::BranchCond)] =
+            static_cast<uint64_t>((h + 7) / 8);
+        body.byClass[static_cast<int>(OpClass::SseAlu)] = 2;
+        if (p->quietKernel(site, 8, body)) {
+            return;
+        }
+    }
+    p->enterKernel(site, 8);
     for (int y = 0; y < h; ++y) {
         for (int c = 0; c < chunks_per_row; ++c) {
             p->mem(OpClass::SimdLoad, a.vaddr + static_cast<uint64_t>(y) * a.stride + c * 32);

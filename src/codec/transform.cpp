@@ -68,12 +68,30 @@ void
 probeTransform(Probe *p, uint64_t site, int n, uint64_t src_vaddr,
                uint64_t dst_vaddr, int elem_size_src, int elem_size_dst)
 {
-    p->enterKernel(site, 24);
     int vec_per_row = std::max(1, n / 8);  // 8 int32 lanes per 256-bit vector
     int stages = 2;
     for (int s = n; s > 2; s >>= 1) {
         ++stages;
     }
+    if (n >= 0) {
+        const uint64_t rows = 2 * static_cast<uint64_t>(n);  // both passes
+        const uint64_t vecs = static_cast<uint64_t>(vec_per_row);
+        trace::MixCounters body;
+        body.byClass[static_cast<int>(OpClass::SimdLoad)] = rows * vecs;
+        body.byClass[static_cast<int>(OpClass::SimdStore)] = rows * vecs;
+        body.byClass[static_cast<int>(OpClass::SimdMul)] =
+            rows * stages * vecs;
+        body.byClass[static_cast<int>(OpClass::SimdAlu)] =
+            rows * (stages * 2 * vecs + 2);
+        body.byClass[static_cast<int>(OpClass::Alu)] =
+            2 * 2 * static_cast<uint64_t>(n / 4);
+        body.byClass[static_cast<int>(OpClass::BranchCond)] =
+            2 * static_cast<uint64_t>((n + 3) / 4);
+        if (p->quietKernel(site, 24, body)) {
+            return;
+        }
+    }
+    p->enterKernel(site, 24);
     // Two passes (rows then columns).
     for (int pass = 0; pass < 2; ++pass) {
         for (int r = 0; r < n; ++r) {

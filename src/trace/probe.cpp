@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <mutex>
+#include <stdexcept>
 
 namespace vepro::trace
 {
@@ -67,16 +68,6 @@ ProbeConfig::streaming(bool branches)
 }
 
 uint64_t
-MixCounters::total() const
-{
-    uint64_t sum = 0;
-    for (uint64_t v : byClass) {
-        sum += v;
-    }
-    return sum;
-}
-
-uint64_t
 MixCounters::byCategory(MixCategory cat) const
 {
     uint64_t sum = 0;
@@ -99,18 +90,20 @@ MixCounters::categoryPercent(MixCategory cat) const
            static_cast<double>(t);
 }
 
-MixCounters &
-MixCounters::operator+=(const MixCounters &other)
+Probe::Probe(const ProbeConfig &config) : config_(config)
 {
-    for (int i = 0; i < kNumOpClasses; ++i) {
-        byClass[i] += other.byClass[i];
+    if (config_.opInterval == 0) {
+        throw std::invalid_argument("ProbeConfig: opInterval must be > 0");
     }
-    return *this;
 }
 
 uint64_t
 Probe::advance(uint64_t n)
 {
+    if (dropping_) {
+        dropped_ops_ += opSeq_ - drop_mark_;
+        dropping_ = false;
+    }
     if (site_slot_ != nullptr) {
         *site_slot_ += n;
     }
@@ -123,20 +116,37 @@ Probe::advance(uint64_t n)
         interval_pos_ %= config_.opInterval;
     }
     if (!config_.collectOps) {
+        setQuiet(config_.opInterval - interval_pos_);
         return 0;
     }
     // opWindow >= opInterval means "record everything" (streaming mode);
     // otherwise only the window-prefix of each interval is recorded.
+    const bool sampled = config_.opWindow < config_.opInterval;
     uint64_t in_window =
-        config_.opWindow >= config_.opInterval
-            ? n
-            : (pos < config_.opWindow ? std::min(n, config_.opWindow - pos)
-                                      : 0);
+        !sampled ? n
+                 : (pos < config_.opWindow ? std::min(n, config_.opWindow - pos)
+                                           : 0);
     uint64_t room = config_.maxOps > ops_recorded_
                         ? config_.maxOps - ops_recorded_
                         : 0;
     uint64_t take = std::min(in_window, room);
     dropped_ops_ += in_window - take;
+
+    if (!sampled) {
+        setQuiet(0);
+    } else if (interval_pos_ >= config_.opWindow) {
+        setQuiet(config_.opInterval - interval_pos_);
+    } else if (room == 0) {
+        // The cap was already full when this call began, so nothing this
+        // call did can have recorded an op: the rest of the window only
+        // drops. (A call that fills the cap leaves the budget at 0; the
+        // next slow call opens the stretch.)
+        setQuiet(config_.opWindow - interval_pos_);
+        dropping_ = true;
+        drop_mark_ = opSeq_;
+    } else {
+        setQuiet(0);
+    }
     return take;
 }
 
@@ -236,7 +246,18 @@ Probe::nextPc()
 }
 
 void
-Probe::enterKernel(uint64_t site, int body_len)
+Probe::setQuiet(uint64_t budget)
+{
+    // Site profiling counts per call, so it never takes the fast path.
+    if (config_.profileSites || budget == 0) {
+        quiet_ = 0;
+    } else {
+        quiet_ = budget + (quiet_fault_ ? 1 : 0);
+    }
+}
+
+void
+Probe::enterKernelSlow(uint64_t site, int body_len)
 {
     if (config_.profileSites) {
         site_slot_ = &site_ops_[site];
@@ -262,7 +283,7 @@ Probe::enterKernel(uint64_t site, int body_len)
     // Call + return plus a tiny scalar preamble (spills / setup).
     mix_.byClass[static_cast<int>(OpClass::BranchUncond)] += 2;
     mix_.byClass[static_cast<int>(OpClass::Other)] += 2;
-    if (advance(4) >= 2) {
+    if (advance(kKernelEntryOps) >= 2) {
         const TraceOp pair[2] = {
             {siteBase_, 0, OpClass::BranchUncond, true, 0, 0, false},
             {siteBase_ + 4, 0, OpClass::Other, false, 0, 0, false}};
@@ -271,7 +292,7 @@ Probe::enterKernel(uint64_t site, int body_len)
 }
 
 void
-Probe::ops(OpClass cls, uint64_t n, uint8_t dep1, uint8_t dep2)
+Probe::opsSlow(OpClass cls, uint64_t n, uint8_t dep1, uint8_t dep2)
 {
     mix_.byClass[static_cast<int>(cls)] += n;
     uint64_t take = advance(n);
@@ -285,7 +306,7 @@ Probe::ops(OpClass cls, uint64_t n, uint8_t dep1, uint8_t dep2)
 }
 
 void
-Probe::mem(OpClass cls, uint64_t addr, uint8_t dep1)
+Probe::memSlow(OpClass cls, uint64_t addr, uint8_t dep1)
 {
     mix_.byClass[static_cast<int>(cls)] += 1;
     if (advance(1) > 0) {
@@ -294,7 +315,7 @@ Probe::mem(OpClass cls, uint64_t addr, uint8_t dep1)
 }
 
 void
-Probe::memRun(OpClass cls, uint64_t addr, int n, int stride, uint8_t dep1)
+Probe::memRunSlow(OpClass cls, uint64_t addr, int n, int stride, uint8_t dep1)
 {
     mix_.byClass[static_cast<int>(cls)] += static_cast<uint64_t>(n);
     uint64_t take = advance(static_cast<uint64_t>(n));
@@ -310,7 +331,7 @@ Probe::memRun(OpClass cls, uint64_t addr, int n, int stride, uint8_t dep1)
 }
 
 void
-Probe::decision(uint64_t site, bool taken)
+Probe::decisionSlow(uint64_t site, bool taken)
 {
     mix_.byClass[static_cast<int>(OpClass::BranchCond)] += 1;
     if (advance(1) > 0) {
@@ -326,7 +347,7 @@ Probe::decision(uint64_t site, bool taken)
 }
 
 void
-Probe::loopBranches(uint64_t iterations)
+Probe::loopBranchesSlow(uint64_t iterations)
 {
     if (iterations == 0) {
         return;
@@ -366,27 +387,29 @@ Probe::allocRegion(size_t size)
 void
 Probe::reset()
 {
-    mix_ = MixCounters{};
-    opSeq_ = 0;
-    interval_pos_ = 0;
-    sitePos_ = 0;
-    branch_first_op_ = 0;
-    branch_last_op_ = 0;
-    stage_.clear();
-    ops_recorded_ = 0;
-    branches_recorded_ = 0;
-    dropped_ops_ = 0;
-    dropped_branches_ = 0;
-    site_ops_.clear();
-    site_slot_ = nullptr;
-    pending_site_valid_ = false;
-    nextRegion_ = 0x10000000ULL;
+    TraceSink *sink = sink_;
+    const bool quiet_fault = quiet_fault_;
+    *this = Probe(config_);
+    sink_ = sink;
+    quiet_fault_ = quiet_fault;
 }
 
 void
 emitControl(Probe &probe, uint64_t site, int units, uint64_t hot_addr,
             uint64_t spread_addr, uint64_t spread_step)
 {
+    if (units >= 0) {
+        const uint64_t n = static_cast<uint64_t>(units);
+        MixCounters body;
+        body.byClass[static_cast<int>(OpClass::Load)] = 4 * n;
+        body.byClass[static_cast<int>(OpClass::Alu)] = n;
+        body.byClass[static_cast<int>(OpClass::Other)] = n / 2;
+        body.byClass[static_cast<int>(OpClass::Store)] = 2 * n;
+        body.byClass[static_cast<int>(OpClass::BranchCond)] = (n + 3) / 4;
+        if (probe.quietKernel(site, 20, body)) {
+            return;
+        }
+    }
     probe.enterKernel(site, 20);
     for (int u = 0; u < units; ++u) {
         // Hot table lookups (cost LUTs), per-block metadata, stack slots.

@@ -56,12 +56,28 @@ std::string siteName(uint64_t pc);
 struct MixCounters {
     std::array<uint64_t, kNumOpClasses> byClass{};
 
-    uint64_t total() const;
+    uint64_t
+    total() const
+    {
+        uint64_t sum = 0;
+        for (uint64_t v : byClass) {
+            sum += v;
+        }
+        return sum;
+    }
+
     uint64_t byCategory(MixCategory cat) const;
     /** Percentage share (0-100) of a category; 0 when empty. */
     double categoryPercent(MixCategory cat) const;
 
-    MixCounters &operator+=(const MixCounters &other);
+    MixCounters &
+    operator+=(const MixCounters &other)
+    {
+        for (int i = 0; i < kNumOpClasses; ++i) {
+            byClass[i] += other.byClass[i];
+        }
+        return *this;
+    }
 };
 
 /** Probe configuration: what to collect and how much. */
@@ -111,7 +127,8 @@ class Probe
 {
   public:
     Probe() = default;
-    explicit Probe(const ProbeConfig &config) : config_(config) {}
+    /** @throws std::invalid_argument when config.opInterval is 0. */
+    explicit Probe(const ProbeConfig &config);
 
     const ProbeConfig &config() const { return config_; }
 
@@ -147,32 +164,105 @@ class Probe
      * @param body_len  Modeled loop-body length in instructions; op PCs
      *                  cycle through this window.
      */
-    void enterKernel(uint64_t site, int body_len = 32);
+    void
+    enterKernel(uint64_t site, int body_len = 32)
+    {
+        if (kKernelEntryOps < quiet_) {
+            enterKernelQuiet(site, body_len);
+            return;
+        }
+        enterKernelSlow(site, body_len);
+    }
 
     /** Record @p n ops of class @p cls (no addresses, batched). */
-    void ops(OpClass cls, uint64_t n, uint8_t dep1 = 0, uint8_t dep2 = 0);
+    void
+    ops(OpClass cls, uint64_t n, uint8_t dep1 = 0, uint8_t dep2 = 0)
+    {
+        if (n < quiet_) {
+            chargeQuiet(cls, n);
+            return;
+        }
+        opsSlow(cls, n, dep1, dep2);
+    }
 
     /** Record one memory op at @p addr. */
-    void mem(OpClass cls, uint64_t addr, uint8_t dep1 = 0);
+    void
+    mem(OpClass cls, uint64_t addr, uint8_t dep1 = 0)
+    {
+        if (1 < quiet_) {
+            chargeQuiet(cls, 1);
+            return;
+        }
+        memSlow(cls, addr, dep1);
+    }
 
     /**
      * Record a run of @p n sequential vector memory ops starting at
      * @p addr with @p stride bytes between accesses.
      */
-    void memRun(OpClass cls, uint64_t addr, int n, int stride,
-                uint8_t dep1 = 0);
+    void
+    memRun(OpClass cls, uint64_t addr, int n, int stride, uint8_t dep1 = 0)
+    {
+        if (static_cast<uint64_t>(n) < quiet_) {
+            chargeQuiet(cls, static_cast<uint64_t>(n));
+            return;
+        }
+        memRunSlow(cls, addr, n, stride, dep1);
+    }
 
     /**
      * Record one data-dependent conditional branch (an RDO decision,
      * early-exit test, etc.).
      */
-    void decision(uint64_t site, bool taken);
+    void
+    decision(uint64_t site, bool taken)
+    {
+        if (1 < quiet_ && !config_.collectBranches) {
+            chargeQuiet(OpClass::BranchCond, 1);
+            return;
+        }
+        decisionSlow(site, taken);
+    }
 
     /**
      * Record a counted loop's back-edge branches: @p iterations - 1 taken
      * plus one fall-through, all at the current kernel's loop-branch PC.
      */
-    void loopBranches(uint64_t iterations);
+    void
+    loopBranches(uint64_t iterations)
+    {
+        if (iterations < quiet_ && !config_.collectBranches) {
+            chargeQuiet(OpClass::BranchCond, iterations);
+            return;
+        }
+        loopBranchesSlow(iterations);
+    }
+
+    /**
+     * Kernel-granular bulk charge: when a whole kernel invocation — its
+     * enterKernel bookkeeping plus the @p body ops an emitter would
+     * report one call at a time — lies inside the quiet budget, account
+     * for all of it at once and return true. Returns false, charging
+     * nothing, when any of it might be recorded, dropped mid-window, or
+     * profiled; the caller then emits op by op as usual. The outcome is
+     * identical either way.
+     */
+    bool
+    quietKernel(uint64_t site, int body_len, const MixCounters &body)
+    {
+        const uint64_t n = body.total();
+        if (kKernelEntryOps + n >= quiet_ ||
+            (config_.collectBranches &&
+             body.byClass[static_cast<int>(OpClass::BranchCond)] != 0)) {
+            return false;
+        }
+        enterKernelQuiet(site, body_len);
+        mix_ += body;
+        opSeq_ += n;
+        interval_pos_ += n;
+        quiet_ -= n;
+        return true;
+    }
 
     // -- Address-space management ----------------------------------------
 
@@ -198,7 +288,11 @@ class Probe
      * benches should warn rather than report denominators computed from
      * a silently clipped trace.
      */
-    uint64_t droppedOps() const { return dropped_ops_; }
+    uint64_t
+    droppedOps() const
+    {
+        return dropped_ops_ + (dropping_ ? opSeq_ - drop_mark_ : 0);
+    }
     /** Branches lost to the maxBranches cap (see droppedOps()). */
     uint64_t droppedBranches() const { return dropped_branches_; }
 
@@ -226,9 +320,18 @@ class Probe
         return site_ops_;
     }
 
-    /** Reset all counters and discard staged records (configuration and
-     *  sink are kept). */
+    /** Reset all counters and discard staged records: the probe becomes
+     *  indistinguishable from a new one with the same configuration and
+     *  sink. */
     void reset();
+
+    /**
+     * Test seam for vepro-check's `probe-quiet` fault: every non-zero
+     * quiet budget comes out one op too long, so a fast-path call can
+     * run past the op that should have gone through the slow path.
+     * Never enabled outside the harness self-test.
+     */
+    void injectQuietFault(bool on) { quiet_fault_ = on; }
 
   private:
     /** Ops staged per block delivery; one block amortises the virtual
@@ -236,10 +339,56 @@ class Probe
      *  of the parallel handoff path. */
     static constexpr size_t kBlockOps = TraceBlock::kOps;
 
+    /** Ops one enterKernel call accounts for (call, return, preamble). */
+    static constexpr uint64_t kKernelEntryOps = 4;
+
     /** Advance the op counter; returns how many of the @p n ops fall in
      *  the current sampling window and under the cap (0 when op tracing
-     *  is off). Cap-truncated in-window ops are counted as dropped. */
+     *  is off). Cap-truncated in-window ops are counted as dropped.
+     *  Recomputes the quiet budget (see quiet_) for the ops that follow. */
     uint64_t advance(uint64_t n);
+    /** Set quiet_ to @p budget, or to 0 under site profiling. */
+    void setQuiet(uint64_t budget);
+
+    /** The fast path of every emission call: @p n ops of class @p cls,
+     *  none recorded, none profiled, no interval boundary crossed. */
+    void
+    chargeQuiet(OpClass cls, uint64_t n)
+    {
+        mix_.byClass[static_cast<int>(cls)] += n;
+        opSeq_ += n;
+        interval_pos_ += n;
+        quiet_ -= n;
+    }
+
+    /** enterKernel inside the quiet budget: the site bookkeeping of
+     *  enterKernelSlow without any recording. */
+    void
+    enterKernelQuiet(uint64_t site, int body_len)
+    {
+        if (sink_ != nullptr) {
+            pending_site_ = site;
+            pending_site_valid_ = true;
+        }
+        siteBase_ = site + ((opSeq_ >> 6) & 7) * 1024;
+        siteBodyLen_ = body_len > 1 ? body_len : 1;
+        sitePos_ = 0;
+        mix_.byClass[static_cast<int>(OpClass::BranchUncond)] += 2;
+        mix_.byClass[static_cast<int>(OpClass::Other)] += 2;
+        opSeq_ += kKernelEntryOps;
+        interval_pos_ += kKernelEntryOps;
+        quiet_ -= kKernelEntryOps;
+    }
+
+    // Out-of-line emission paths: exact accounting, one op at a time
+    // where anything is recorded.
+    void enterKernelSlow(uint64_t site, int body_len);
+    void opsSlow(OpClass cls, uint64_t n, uint8_t dep1, uint8_t dep2);
+    void memSlow(OpClass cls, uint64_t addr, uint8_t dep1);
+    void memRunSlow(OpClass cls, uint64_t addr, int n, int stride,
+                    uint8_t dep1);
+    void decisionSlow(uint64_t site, bool taken);
+    void loopBranchesSlow(uint64_t iterations);
 
     uint64_t nextPc();
 
@@ -266,6 +415,23 @@ class Probe
     /** opSeq_ % config_.opInterval, maintained by wrap-on-compare so the
      *  emission hot path never divides. */
     uint64_t interval_pos_ = 0;
+    /**
+     * Quiet budget: a call of n < quiet_ ops records nothing, drops
+     * nothing beyond the dropping stretch below, profiles nothing and
+     * crosses no interval boundary, so it only bumps the mix and the op
+     * counters (the inline fast paths). Set at the end of advance():
+     * the rest of the interval outside the window (or with op tracing
+     * off), the rest of the window once the maxOps cap is full, and 0
+     * whenever ops could be recorded or sites are profiled.
+     */
+    uint64_t quiet_ = 0;
+    /** A dropping stretch is open: every op since opSeq_ == drop_mark_
+     *  fell in the window with the cap full, and is credited to
+     *  dropped_ops_ as one opSeq_ delta (at the next slow call, or on
+     *  read by droppedOps()). */
+    bool dropping_ = false;
+    uint64_t drop_mark_ = 0;
+    bool quiet_fault_ = false;  ///< See injectQuietFault().
 
     uint64_t siteBase_ = sitePc("vepro.default");
     int siteBodyLen_ = 32;

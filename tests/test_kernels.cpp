@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "codec/kernels.hpp"
+#include "codec/mc.hpp"
 #include "codec/quant.hpp"
 #include "codec/transform.hpp"
 
@@ -244,6 +246,137 @@ INSTANTIATE_TEST_SUITE_P(Sizes, TransformKernels,
                          ::testing::Combine(::testing::Values(4, 8, 16, 32),
                                             ::testing::Values(1u, 2u, 3u)));
 
+using McCase = std::tuple<int, int, uint64_t>;  // width, height, seed
+
+class McKernels : public ::testing::TestWithParam<McCase>
+{
+};
+
+TEST_P(McKernels, BitIdenticalToScalarAtEveryPhase)
+{
+    // Both filters, all three half-pel phases, against the scalar table. The
+    // source carries the filter margin (one pel before, two after, on
+    // both axes) and a padded stride; extreme pels drive the sharp
+    // filter's clamp from both sides.
+    auto [w, h, seed] = GetParam();
+    std::mt19937 rng(seed * 104729 + w * 64 + h);
+    std::uniform_int_distribution<int> pix(0, 255);
+    std::uniform_int_distribution<int> coin(0, 3);
+    const int stride = w + 3 + static_cast<int>(rng() % 13);
+    std::vector<uint8_t> src(static_cast<size_t>(stride) * (h + 3));
+    for (uint8_t &x : src) {
+        const int c = coin(rng);
+        x = static_cast<uint8_t>(c == 0 ? 0 : c == 1 ? 255 : pix(rng));
+    }
+    const uint8_t *origin = src.data() + stride + 1;
+    const int dst_stride = w + 5;
+    const size_t dst_size = static_cast<size_t>(dst_stride) * h;
+    const KernelTable &scalar = scalarKernels();
+    for (const KernelTable *t : tablesUnderTest()) {
+        SCOPED_TRACE(std::string("isa=") + t->isa);
+        for (int phase = 1; phase < 4; ++phase) {
+            const int hx = phase & 1;
+            const int hy = phase >> 1;
+            SCOPED_TRACE("half_x=" + std::to_string(hx) +
+                         " half_y=" + std::to_string(hy));
+            for (auto fn : {&KernelTable::mcBilinear, &KernelTable::mcSharp}) {
+                // Guard bytes beyond each row must survive untouched.
+                std::vector<uint8_t> want(dst_size, 0xA5), got(dst_size, 0xA5);
+                (scalar.*fn)(origin, stride, w, h, hx, hy, want.data(),
+                             dst_stride);
+                (t->*fn)(origin, stride, w, h, hx, hy, got.data(),
+                         dst_stride);
+                EXPECT_EQ(want, got)
+                    << (fn == &KernelTable::mcSharp ? "sharp" : "bilinear");
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BlockSizes, McKernels,
+    ::testing::Combine(::testing::Values(4, 5, 8, 12, 16, 24, 31, 32, 48, 64),
+                       ::testing::Values(4, 7, 8, 16, 32, 64),
+                       ::testing::Values(1u, 2u)));
+
+/** Per-pel 4-tap filter with every tap clamped into the plane. */
+uint8_t
+clampedTap(const video::Plane &p, int x0, int y0, int dx, int dy)
+{
+    auto at = [&](int x, int y) {
+        return static_cast<int>(p.at(std::clamp(x, 0, p.width() - 1),
+                                     std::clamp(y, 0, p.height() - 1)));
+    };
+    int v = (-at(x0 - dx, y0 - dy) + 5 * at(x0, y0) + 5 * at(x0 + dx, y0 + dy) -
+             at(x0 + 2 * dx, y0 + 2 * dy) + 4) >>
+            3;
+    return static_cast<uint8_t>(std::clamp(v, 0, 255));
+}
+
+TEST(McEdges, MotionCompensateMatchesTheClampedReference)
+{
+    // Every block position of a small plane, vectors pointing past all
+    // four borders: interior blocks take the kernel table, edge blocks
+    // the clamped fallback, and both must equal the per-pel reference.
+    constexpr int kW = 40, kH = 36;
+    video::Plane ref(kW, kH, 7);
+    std::mt19937 rng(5);
+    for (int y = 0; y < kH; ++y) {
+        for (int x = 0; x < kW; ++x) {
+            ref.row(y)[x] = static_cast<uint8_t>(rng());
+        }
+    }
+    const PelView view = viewOf(ref, 0);
+    int edge_blocks = 0;
+    for (int bs : {4, 8, 16}) {
+        for (int by = 0; by + bs <= kH; by += 4) {
+            for (int bx = 0; bx + bs <= kW; bx += 4) {
+                for (MotionVector mv : {MotionVector{-9, -7}, {1, 0}, {0, 1},
+                                        {1, 1}, {7, 9}, {-1, 3}, {5, -1}}) {
+                    MotionVector c = clampMv(mv, bx, by, bs, bs, kW, kH);
+                    const int fx = bx + (c.x >> 1), fy = by + (c.y >> 1);
+                    const bool hx = c.x & 1, hy = c.y & 1;
+                    edge_blocks += fx < 1 || fy < 1 || fx + bs + 2 > kW ||
+                                   fy + bs + 2 > kH;
+                    for (bool sharp : {false, true}) {
+                        uint8_t out[16 * 16];
+                        motionCompensate(view, kW, kH, bx, by, bs, bs, mv,
+                                         {out, bs, 0}, sharp);
+                        for (int y = 0; y < bs; ++y) {
+                            for (int x = 0; x < bs; ++x) {
+                                const int px = fx + x, py = fy + y;
+                                int want;
+                                if (!hx && !hy) {
+                                    want = ref.at(px, py);
+                                } else if (!sharp) {
+                                    want = (ref.at(px, py) +
+                                            ref.at(px + hx, py) +
+                                            ref.at(px, py + hy) +
+                                            ref.at(px + hx, py + hy) + 2) >>
+                                           2;
+                                } else if (hx && hy) {
+                                    want = (clampedTap(ref, px, py, 1, 0) +
+                                            clampedTap(ref, px, py + 1, 1, 0) +
+                                            1) >>
+                                           1;
+                                } else {
+                                    want = clampedTap(ref, px, py, hx, hy);
+                                }
+                                ASSERT_EQ(out[y * bs + x], want)
+                                    << "block " << bs << " at (" << bx << ","
+                                    << by << ") mv (" << mv.x << "," << mv.y
+                                    << ") sharp=" << sharp << " pel (" << x
+                                    << "," << y << ")";
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(edge_blocks, 100) << "the sweep must reach the plane edges";
+}
+
 TEST(KernelDispatch, ResolvesToKnownIsa)
 {
     std::string isa = kernelIsaName();
@@ -272,6 +405,8 @@ TEST(KernelDispatch, AllEntriesPopulated)
         EXPECT_NE(t->dequant, nullptr);
         EXPECT_NE(t->boxdown, nullptr);
         EXPECT_NE(t->lerpblend, nullptr);
+        EXPECT_NE(t->mcBilinear, nullptr);
+        EXPECT_NE(t->mcSharp, nullptr);
     }
 }
 

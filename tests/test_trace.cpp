@@ -10,6 +10,8 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <stdexcept>
+#include <vector>
 
 #include "trace/opclass.hpp"
 #include "trace/probe.hpp"
@@ -261,6 +263,139 @@ TEST(Probe, ResetClearsEverything)
     EXPECT_EQ(c.probe.recordedOps(), 0u);
     EXPECT_TRUE(c.ops().empty());
     EXPECT_TRUE(c.branches().empty());
+}
+
+TEST(Probe, ZeroOpIntervalIsRejected)
+{
+    ProbeConfig cfg;
+    cfg.collectOps = true;
+    cfg.opInterval = 0;
+    EXPECT_THROW(Probe{cfg}, std::invalid_argument);
+    cfg.collectOps = false;  // the interval position is kept regardless
+    EXPECT_THROW(Probe{cfg}, std::invalid_argument);
+}
+
+/** A sampled run that leaves a used probe mid-kernel, with its cap full
+ *  and inside a dropping stretch. */
+void
+dirtyProbe(Probe &p)
+{
+    p.enterKernel(sitePc("test.reset.dirty"), 7);
+    for (int i = 0; i < 40; ++i) {
+        p.ops(OpClass::SimdAlu, 9, 1);
+        p.mem(OpClass::Load, 0x1000 + 8 * i);
+    }
+    p.decision(sitePc("test.reset.dirty.branch"), true);
+}
+
+/** The emission script both probes replay after the reset. */
+void
+replayScript(Probe &p)
+{
+    p.ops(OpClass::Alu, 3);  // before any kernel: the default site's PCs
+    p.mem(OpClass::Store, 0x2000);
+    for (int i = 0; i < 30; ++i) {
+        p.enterKernel(sitePc("test.reset.kernel"), 5 + i % 3);
+        p.memRun(OpClass::SimdLoad, 0x3000 + 64 * i, 4, 32);
+        p.ops(OpClass::SimdMul, 6, 1, 2);
+        p.loopBranches(3);
+        p.decision(sitePc("test.reset.branch"), (i & 1) != 0);
+    }
+}
+
+TEST(Probe, ResetProbeRecordsLikeANewOne)
+{
+    ProbeConfig cfg;
+    cfg.collectOps = true;
+    cfg.opWindow = 40;
+    cfg.opInterval = 130;
+    cfg.maxOps = 60;
+    cfg.collectBranches = true;
+    cfg.maxBranches = 20;
+
+    Collected used(cfg);
+    dirtyProbe(used.probe);
+    ASSERT_GT(used.probe.droppedOps(), 0u);
+    used.probe.reset();
+    Collected fresh(cfg);
+    // Only what the probes deliver from here on is compared.
+    used.probe.flushToSink();
+    const size_t ops_before = used.sink.ops().size();
+    const size_t branches_before = used.sink.branches().size();
+
+    replayScript(used.probe);
+    replayScript(fresh.probe);
+    const std::vector<TraceOp> used_ops(used.ops().begin() + ops_before,
+                                        used.ops().end());
+    const std::vector<TraceOp> &fresh_ops = fresh.ops();
+    ASSERT_EQ(used_ops.size(), fresh_ops.size());
+    ASSERT_FALSE(fresh_ops.empty());
+    for (size_t i = 0; i < fresh_ops.size(); ++i) {
+        EXPECT_EQ(used_ops[i].pc, fresh_ops[i].pc) << "op " << i;
+        EXPECT_EQ(used_ops[i].addr, fresh_ops[i].addr) << "op " << i;
+        EXPECT_EQ(used_ops[i].cls, fresh_ops[i].cls) << "op " << i;
+    }
+    EXPECT_EQ(used.branches().size() - branches_before,
+              fresh.branches().size());
+    EXPECT_EQ(used.probe.totalOps(), fresh.probe.totalOps());
+    EXPECT_EQ(used.probe.recordedOps(), fresh.probe.recordedOps());
+    EXPECT_EQ(used.probe.droppedOps(), fresh.probe.droppedOps());
+    EXPECT_EQ(used.probe.droppedBranches(), fresh.probe.droppedBranches());
+    EXPECT_EQ(used.probe.branchTraceOpSpan(),
+              fresh.probe.branchTraceOpSpan());
+    EXPECT_EQ(used.probe.allocRegion(64), fresh.probe.allocRegion(64));
+}
+
+TEST(Probe, DroppedOpsCountsAnOpenDroppingStretch)
+{
+    ProbeConfig cfg;
+    cfg.collectOps = true;
+    cfg.opWindow = 100;
+    cfg.opInterval = 1000;
+    cfg.maxOps = 10;
+    Collected c(cfg);
+    c.probe.ops(OpClass::Alu, 10);  // fills the cap
+    c.probe.ops(OpClass::Alu, 5);   // dropped: the window has 85 ops left
+    EXPECT_EQ(c.probe.droppedOps(), 5u);
+    for (int i = 0; i < 4; ++i) {
+        c.probe.ops(OpClass::Alu, 20);
+        EXPECT_EQ(c.probe.droppedOps(), 5u + 20u * (i + 1));
+    }
+    c.probe.ops(OpClass::Alu, 30);  // 5 more in the window, 25 past it
+    EXPECT_EQ(c.probe.droppedOps(), 90u);
+    c.probe.ops(OpClass::Alu, 800);  // the gap: nothing dropped
+    EXPECT_EQ(c.probe.droppedOps(), 90u);
+    EXPECT_EQ(c.probe.recordedOps(), 10u);
+    EXPECT_EQ(c.probe.totalOps(), 925u);
+}
+
+TEST(Probe, SamplingQuirksArePinned)
+{
+    // Two long-standing rules of the sampled accounting that decide which
+    // ops a trace holds; the inline fast path must keep both.
+    ProbeConfig cfg;
+    cfg.collectOps = true;
+    cfg.opWindow = 10;
+    cfg.opInterval = 20;
+    {
+        // A call that starts in the gap records nothing, even the ops
+        // that run into the next window.
+        Collected c(cfg);
+        c.probe.ops(OpClass::Alu, 10);  // the first window
+        c.probe.ops(OpClass::Alu, 15);  // gap 10..19, then 20..24
+        EXPECT_EQ(c.probe.recordedOps(), 10u);
+        c.probe.ops(OpClass::Alu, 1);   // op 25, inside the window
+        EXPECT_EQ(c.probe.recordedOps(), 11u);
+    }
+    {
+        // enterKernel records only its two-op pair when three of its
+        // four ops fall in the window.
+        Collected c(cfg);
+        c.probe.ops(OpClass::Alu, 7);
+        c.probe.enterKernel(sitePc("test.quirk"), 4);
+        EXPECT_EQ(c.probe.recordedOps(), 9u);
+        EXPECT_EQ(c.probe.droppedOps(), 0u);
+    }
 }
 
 TEST(ProbeScope, InstallsAndRestores)
