@@ -2,13 +2,14 @@
  * @file
  * Kernel microbenchmarks (google-benchmark): host-side throughput of the
  * codec primitives (SAD, SATD, DCT, quantisation, range coding, intra
- * prediction, half-pel motion compensation) with and without an installed probe, quantifying the
- * instrumentation overhead that separates wall time from modeled
- * instruction counts.
+ * prediction, half-pel plane builds) with and without an installed
+ * probe, quantifying the instrumentation overhead that separates wall
+ * time from modeled instruction counts.
  *
- * The BM_Table* group benches the scalar reference table against the
- * runtime-dispatched table side by side (same buffers, same geometry),
- * so a single run reports the SIMD speedup per kernel. The report
+ * The per-table group (BM_Table*, BM_ForwardDct, BM_InverseDct) benches
+ * the scalar reference table against the runtime-dispatched table side
+ * by side (same buffers, same geometry), so a single run reports the
+ * SIMD speedup per kernel. The report
  * context line `kernel_isa` records what the dispatcher resolved to.
  */
 
@@ -19,6 +20,7 @@
 
 #include "codec/intra.hpp"
 #include "codec/kernels.hpp"
+#include "codec/mc.hpp"
 #include "codec/quant.hpp"
 #include "codec/rangecoder.hpp"
 #include "codec/sad.hpp"
@@ -86,20 +88,6 @@ BM_Satd(benchmark::State &state)
 BENCHMARK(BM_Satd)->Arg(8)->Arg(16)->Arg(32);
 
 void
-BM_ForwardDct(benchmark::State &state)
-{
-    const int n = static_cast<int>(state.range(0));
-    std::vector<int16_t> src(static_cast<size_t>(n) * n, 17);
-    std::vector<int32_t> dst(static_cast<size_t>(n) * n);
-    for (auto _ : state) {
-        codec::forwardDct(src.data(), dst.data(), n, 0, 0);
-        benchmark::DoNotOptimize(dst.data());
-    }
-    state.SetItemsProcessed(state.iterations() * n * n);
-}
-BENCHMARK(BM_ForwardDct)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
-
-void
 BM_QuantizeBlock(benchmark::State &state)
 {
     codec::Quantizer quant(32, 63);
@@ -150,6 +138,25 @@ BENCHMARK(BM_IntraPredict)
     ->Arg(static_cast<int>(codec::IntraMode::Planar))
     ->Arg(static_cast<int>(codec::IntraMode::D135))
     ->Arg(static_cast<int>(codec::IntraMode::Smooth));
+
+/** Building the three half-pel phase planes of one reference plane (a
+ *  quick-scale luma plane), per filter: the once-per-frame cost that
+ *  replaces per-block interpolation. */
+void
+BM_HalfPelPlanes(benchmark::State &state)
+{
+    const bool sharp = state.range(0) != 0;
+    video::Plane ref = randomPlane(240, 136, 15);
+    codec::HalfPelPlanes planes;
+    for (auto _ : state) {
+        planes.build(codec::viewOf(ref, 0), ref.width(), ref.height(), sharp);
+        benchmark::DoNotOptimize(planes.phase(true, true));
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * ref.width() * ref.height());
+    state.SetLabel(sharp ? "sharp" : "bilinear");
+}
+BENCHMARK(BM_HalfPelPlanes)->Arg(0)->Arg(1);
 
 /**
  * Register the per-table kernel benches for @p t under @p tag, e.g.
@@ -204,34 +211,6 @@ registerKernelSuite(const codec::KernelTable &t, const std::string &tag)
                 }
                 state.SetItemsProcessed(state.iterations() * n * n);
             });
-        // Both half-pel phases: the costliest interpolation of each filter.
-        RegisterBenchmark(
-            ("BM_McSharp/" + tag + sz).c_str(),
-            [&t, n](benchmark::State &state) {
-                video::Plane ref = randomPlane(72, 72, 15);
-                video::Plane dst(64, 64);
-                const uint8_t *origin = ref.data() + ref.stride() + 1;
-                for (auto _ : state) {
-                    t.mcSharp(origin, ref.stride(), n, n, 1, 1, dst.data(),
-                              dst.stride());
-                    benchmark::DoNotOptimize(dst.data());
-                    benchmark::ClobberMemory();
-                }
-                state.SetItemsProcessed(state.iterations() * n * n);
-            });
-        RegisterBenchmark(
-            ("BM_McBilinear/" + tag + sz).c_str(),
-            [&t, n](benchmark::State &state) {
-                video::Plane ref = randomPlane(72, 72, 16);
-                video::Plane dst(64, 64);
-                for (auto _ : state) {
-                    t.mcBilinear(ref.data(), ref.stride(), n, n, 1, 1,
-                                 dst.data(), dst.stride());
-                    benchmark::DoNotOptimize(dst.data());
-                    benchmark::ClobberMemory();
-                }
-                state.SetItemsProcessed(state.iterations() * n * n);
-            });
         RegisterBenchmark(
             ("BM_TableResidual/" + tag + sz).c_str(),
             [&t, n](benchmark::State &state) {
@@ -264,10 +243,10 @@ registerKernelSuite(const codec::KernelTable &t, const std::string &tag)
                 state.SetItemsProcessed(state.iterations() * n * n);
             });
     }
-    for (int n : {8, 32}) {
+    for (int n : {4, 8, 16, 32}) {
         std::string sz = "/" + std::to_string(n);
         RegisterBenchmark(
-            ("BM_TableFdct/" + tag + sz).c_str(),
+            ("BM_ForwardDct/" + tag + sz).c_str(),
             [&t, n](benchmark::State &state) {
                 const int32_t *basis = codec::dctBasis(n);
                 std::vector<int16_t> src(static_cast<size_t>(n) * n);
@@ -280,11 +259,12 @@ registerKernelSuite(const codec::KernelTable &t, const std::string &tag)
                 for (auto _ : state) {
                     t.fdct(src.data(), dst.data(), n, basis);
                     benchmark::DoNotOptimize(dst.data());
+                    benchmark::ClobberMemory();
                 }
                 state.SetItemsProcessed(state.iterations() * n * n);
             });
         RegisterBenchmark(
-            ("BM_TableIdct/" + tag + sz).c_str(),
+            ("BM_InverseDct/" + tag + sz).c_str(),
             [&t, n](benchmark::State &state) {
                 const int32_t *basis = codec::dctBasis(n);
                 std::vector<int32_t> src(static_cast<size_t>(n) * n);
@@ -296,6 +276,7 @@ registerKernelSuite(const codec::KernelTable &t, const std::string &tag)
                 for (auto _ : state) {
                     t.idct(src.data(), dst.data(), n, basis);
                     benchmark::DoNotOptimize(dst.data());
+                    benchmark::ClobberMemory();
                 }
                 state.SetItemsProcessed(state.iterations() * n * n);
             });

@@ -1027,7 +1027,7 @@ Fuzzer::runKernelsCase(uint64_t seed, Divergence &out)
         out.target = Target::Kernels;
         out.seed = seed;
         out.repro = reproCommand(Target::Kernels, seed, options_.inject, options_.quick);
-        out.detail = "kernel divergence vs scalar oracle (isa=" +
+        out.detail = "kernel divergence from the oracle (isa=" +
                      std::string(fast.isa) + "): " + what;
         return true;
     };
@@ -1102,22 +1102,29 @@ Fuzzer::runKernelsCase(uint64_t seed, Divergence &out)
     for (int16_t &x : src) {
         x = static_cast<int16_t>(rng.next());
     }
-    std::vector<int32_t> tx_s(count), tx_f(count);
-    scalar.fdct(src.data(), tx_s.data(), n, basis);
-    fast.fdct(src.data(), tx_f.data(), n, basis);
-    if (tx_s != tx_f) {
-        return fail("fdct(n=" + std::to_string(n) + ")");
-    }
+    // Both tables' butterflies against the plain matrix product, on
+    // full-range residuals and on coefficients past the usual range.
+    std::vector<int32_t> tx_want(count), tx_got(count);
+    refFdct(src.data(), tx_want.data(), n, basis, options_.inject);
     std::vector<int32_t> coeff(count);
     for (int32_t &x : coeff) {
         x = static_cast<int32_t>(rng.next() % (1u << 23)) - (1 << 22);
     }
-    for (const std::vector<int32_t> *in : {&tx_s, &coeff}) {
-        std::vector<int16_t> px_s(count), px_f(count);
-        scalar.idct(in->data(), px_s.data(), n, basis);
-        fast.idct(in->data(), px_f.data(), n, basis);
-        if (px_s != px_f) {
-            return fail("idct(n=" + std::to_string(n) + ")");
+    for (const codec::KernelTable *t : {&scalar, &fast}) {
+        t->fdct(src.data(), tx_got.data(), n, basis);
+        if (tx_got != tx_want) {
+            return fail(std::string(t->isa) + " fdct(n=" + std::to_string(n) +
+                        ") differs from the matrix product");
+        }
+        for (const std::vector<int32_t> *in : {&tx_want, &coeff}) {
+            std::vector<int16_t> px_want(count), px_got(count);
+            refIdct(in->data(), px_want.data(), n, basis, options_.inject);
+            t->idct(in->data(), px_got.data(), n, basis);
+            if (px_got != px_want) {
+                return fail(std::string(t->isa) + " idct(n=" +
+                            std::to_string(n) +
+                            ") differs from the matrix product");
+            }
         }
     }
     const double t = static_cast<double>(rng.below(64)) / 63.0;
@@ -1139,29 +1146,89 @@ Fuzzer::runKernelsCase(uint64_t seed, Divergence &out)
         return fail("dequant(n=" + std::to_string(n) + ")");
     }
 
-    // Half-pel motion compensation: both filters at a random phase, the
-    // source keeping the filter margin (one pel before, two after).
-    const int phase = 1 + static_cast<int>(rng.below(3));
-    const int hx = phase & 1;
-    const int hy = phase >> 1;
-    const int mc_stride = w + 3 + static_cast<int>(rng.below(9));
-    std::vector<uint8_t> mc_src(static_cast<size_t>(mc_stride) * (h + 3));
-    for (uint8_t &x : mc_src) {
-        x = static_cast<uint8_t>(rng.next());
+    // Half-pel planes of a random plane size, both filters: every
+    // phase-plane sample (so every edge position) against the per-pel
+    // clamped reference, then compensated blocks pinned to each edge
+    // with vectors pointing past it.
+    const int pw = 4 + static_cast<int>(rng.below(61));
+    const int ph = 4 + static_cast<int>(rng.below(61));
+    const int p_stride = pw + static_cast<int>(rng.below(9));
+    std::vector<uint8_t> pel(static_cast<size_t>(p_stride) * ph);
+    for (uint8_t &x : pel) {
+        // Extreme pels drive the sharp filter's clamp from both sides.
+        const uint64_t r = rng.next();
+        x = static_cast<uint8_t>((r & 3) == 0 ? 0 : (r & 3) == 1 ? 255 : r >> 8);
     }
-    const uint8_t *origin = mc_src.data() + mc_stride + 1;
-    for (auto fn : {&codec::KernelTable::mcBilinear,
-                    &codec::KernelTable::mcSharp}) {
-        std::vector<uint8_t> mc_s(wh, 0), mc_f(wh, 0);
-        (scalar.*fn)(origin, mc_stride, w, h, hx, hy, mc_s.data(), w);
-        (fast.*fn)(origin, mc_stride, w, h, hx, hy, mc_f.data(), w);
-        if (mc_s != mc_f) {
-            return fail(std::string(fn == &codec::KernelTable::mcSharp
-                                        ? "mcSharp("
-                                        : "mcBilinear(") +
-                        std::to_string(w) + "x" + std::to_string(h) +
-                        " half=" + std::to_string(hx) + std::to_string(hy) +
-                        ")");
+    const codec::PelView view{pel.data(), p_stride, 0};
+    for (bool sharp : {false, true}) {
+        const std::string filter = sharp ? "sharp" : "bilinear";
+        codec::HalfPelPlanes planes;
+        planes.injectEdgeFault(options_.inject == Fault::HpelEdge);
+        planes.build(view, pw, ph, sharp);
+        for (int phase = 1; phase < 4; ++phase) {
+            const int hx = phase & 1;
+            const int hy = phase >> 1;
+            const uint8_t *got = planes.phase(hx, hy);
+            for (int y = 0; y < ph; ++y) {
+                for (int x = 0; x < pw; ++x) {
+                    const uint8_t want = refHalfPel(pel.data(), p_stride, pw,
+                                                    ph, x, y, hx, hy, sharp);
+                    if (got[y * pw + x] != want) {
+                        return fail(
+                            filter + " half-pel plane " + std::to_string(pw) +
+                            "x" + std::to_string(ph) + " half=" +
+                            std::to_string(hx) + std::to_string(hy) +
+                            " pel (" + std::to_string(x) + "," +
+                            std::to_string(y) + ") plane=" +
+                            std::to_string(got[y * pw + x]) +
+                            " ref=" + std::to_string(want));
+                    }
+                }
+            }
+        }
+        static const int kBlock[] = {4, 8, 16};
+        for (int b = 0; b < 8; ++b) {
+            const int bs = std::min({kBlock[rng.below(3)], pw, ph});
+            // Pin the block to one edge (or none) on each axis.
+            auto pick = [&](int extent) {
+                const uint64_t r = rng.below(3);
+                return r == 0 ? 0
+                              : r == 1 ? extent - bs
+                                       : static_cast<int>(
+                                             rng.below(extent - bs + 1));
+            };
+            const int bx = pick(pw);
+            const int by = pick(ph);
+            const codec::MotionVector mv{
+                static_cast<int>(rng.below(41)) - 20,
+                static_cast<int>(rng.below(41)) - 20};
+            const codec::MotionVector c =
+                codec::clampMv(mv, bx, by, bs, bs, pw, ph);
+            const int fx = bx + (c.x >> 1), fy = by + (c.y >> 1);
+            const int hx = c.x & 1, hy = c.y & 1;
+            std::vector<uint8_t> block(static_cast<size_t>(bs) * bs);
+            codec::motionCompensate(view, planes, bx, by, bs, bs, mv,
+                                    {block.data(), bs, 0});
+            for (int y = 0; y < bs; ++y) {
+                for (int x = 0; x < bs; ++x) {
+                    const int px = fx + x, py = fy + y;
+                    const uint8_t want =
+                        hx || hy ? refHalfPel(pel.data(), p_stride, pw, ph,
+                                              px, py, hx, hy, sharp)
+                                 : pel[static_cast<size_t>(py) * p_stride + px];
+                    if (block[y * bs + x] != want) {
+                        return fail(filter + " motionCompensate(" +
+                                    std::to_string(bs) + "x" +
+                                    std::to_string(bs) + " at " +
+                                    std::to_string(bx) + "," +
+                                    std::to_string(by) + " mv " +
+                                    std::to_string(mv.x) + "," +
+                                    std::to_string(mv.y) + ") pel (" +
+                                    std::to_string(x) + "," +
+                                    std::to_string(y) + ")");
+                    }
+                }
+            }
         }
     }
     return false;
@@ -1649,9 +1716,19 @@ Fuzzer::runProbeCase(uint64_t seed, Divergence &out)
             }
             break;
         }
+        // The probe derives its op counters from the quiet budget left,
+        // so read them (and, at random points, the whole mix) inside
+        // quiet stretches as well as at their ends.
         if (std::string d = diffProbeCounters(ref, probe); !d.empty()) {
             return fail("after call " + std::to_string(i) + " " + call +
                         ": " + d);
+        }
+        if (rng.chance(1, 8)) {
+            if (std::string d = diffMix(ref.mix(), probe.mix().byClass);
+                !d.empty()) {
+                return fail("after call " + std::to_string(i) + " " + call +
+                            ": " + d);
+            }
         }
     }
     if (std::string d = full_diff(); !d.empty()) {
@@ -1678,6 +1755,9 @@ Fuzzer::runProbeCase(uint64_t seed, Divergence &out)
     std::vector<int16_t> res(64 * 64);
     std::vector<int32_t> coeff(32 * 32);
     const codec::PelView ref_view{plane.data(), kPlane, 0x20000000ULL};
+    codec::HalfPelPlanes hpel[2];
+    hpel[0].build(ref_view, kPlane, kPlane, false);
+    hpel[1].build(ref_view, kPlane, kPlane, true);
     static const int kDims[] = {4, 8, 16, 32, 64};
     const int kernels = options_.quick ? 40 : 160;
     const uint64_t kernel_seed = rng.fork();
@@ -1708,8 +1788,8 @@ Fuzzer::runProbeCase(uint64_t seed, Divergence &out)
                 const codec::MotionVector mv{
                     static_cast<int>(krng.below(33)) - 16,
                     static_cast<int>(krng.below(33)) - 16};
-                codec::motionCompensate(ref_view, kPlane, kPlane, x, y, w, h,
-                                        mv, out, krng.chance(1, 2));
+                codec::motionCompensate(ref_view, hpel[krng.chance(1, 2)], x,
+                                        y, w, h, mv, out);
                 break;
               }
               default:

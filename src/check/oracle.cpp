@@ -1,7 +1,9 @@
 #include "check/oracle.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <stdexcept>
+#include <vector>
 
 namespace vepro::check
 {
@@ -21,6 +23,8 @@ faultName(Fault fault)
       case Fault::TraceFileDelta: return "tracefile-delta";
       case Fault::LadderHull: return "ladder-hull";
       case Fault::ProbeQuiet: return "probe-quiet";
+      case Fault::HpelEdge: return "hpel-edge";
+      case Fault::DctOdd: return "dct-odd";
     }
     return "?";
 }
@@ -32,7 +36,7 @@ parseFault(const std::string &name, Fault &out)
                     Fault::BpredAlloc, Fault::KernelsSad, Fault::StoreBit,
                     Fault::ParallelDrop, Fault::BackendEnergy,
                     Fault::TraceFileDelta, Fault::LadderHull,
-                    Fault::ProbeQuiet}) {
+                    Fault::ProbeQuiet, Fault::HpelEdge, Fault::DctOdd}) {
         if (name == faultName(f)) {
             out = f;
             return true;
@@ -640,6 +644,103 @@ refUpscalePlane(const video::Plane &src, int dst_width, int dst_height)
         }
     }
     return dst;
+}
+
+// ---------------------------------------------------------------------
+// Transforms and half-pel interpolation
+
+namespace
+{
+
+/** One basis product, with the DctOdd fault's wrong sign on the
+ *  odd-part term T[1][0] * x. */
+int64_t
+basisTerm(const int32_t *basis, int n, int k, int i, int64_t x, Fault fault)
+{
+    const int64_t term = basis[k * n + i] * x;
+    return fault == Fault::DctOdd && k == 1 && i == 0 ? -term : term;
+}
+
+} // namespace
+
+void
+refFdct(const int16_t *src, int32_t *dst, int n, const int32_t *basis,
+        Fault fault)
+{
+    std::vector<int64_t> tmp(static_cast<size_t>(n) * n);
+    for (int r = 0; r < n; ++r) {
+        for (int k = 0; k < n; ++k) {
+            int64_t acc = 0;
+            for (int i = 0; i < n; ++i) {
+                acc += basisTerm(basis, n, k, i, src[r * n + i], fault);
+            }
+            tmp[r * n + k] = acc;
+        }
+    }
+    for (int k = 0; k < n; ++k) {
+        for (int c = 0; c < n; ++c) {
+            int64_t acc = 0;
+            for (int r = 0; r < n; ++r) {
+                acc += basis[k * n + r] * tmp[r * n + c];
+            }
+            dst[k * n + c] = static_cast<int32_t>((acc + (1 << 19)) >> 20);
+        }
+    }
+}
+
+void
+refIdct(const int32_t *src, int16_t *dst, int n, const int32_t *basis,
+        Fault fault)
+{
+    std::vector<int64_t> tmp(static_cast<size_t>(n) * n);
+    for (int r = 0; r < n; ++r) {
+        for (int c = 0; c < n; ++c) {
+            int64_t acc = 0;
+            for (int k = 0; k < n; ++k) {
+                acc += basisTerm(basis, n, k, r, src[k * n + c], fault);
+            }
+            tmp[r * n + c] = acc;
+        }
+    }
+    for (int r = 0; r < n; ++r) {
+        for (int i = 0; i < n; ++i) {
+            int64_t acc = 0;
+            for (int k = 0; k < n; ++k) {
+                acc += tmp[r * n + k] * basis[k * n + i];
+            }
+            dst[r * n + i] = static_cast<int16_t>(
+                std::clamp<int64_t>((acc + (1 << 19)) >> 20, -32768, 32767));
+        }
+    }
+}
+
+uint8_t
+refHalfPel(const uint8_t *plane, int stride, int w, int h, int x, int y,
+           int hx, int hy, bool sharp)
+{
+    auto at = [&](int px, int py) -> int {
+        px = std::clamp(px, 0, w - 1);
+        py = std::clamp(py, 0, h - 1);
+        return plane[static_cast<ptrdiff_t>(py) * stride + px];
+    };
+    auto tap4 = [&](int px, int py, int dx, int dy) -> int {
+        const int v = (-at(px - dx, py - dy) + 5 * at(px, py) +
+                       5 * at(px + dx, py + dy) -
+                       at(px + 2 * dx, py + 2 * dy) + 4) >>
+                      3;
+        return std::clamp(v, 0, 255);
+    };
+    if (!sharp) {
+        return static_cast<uint8_t>((at(x, y) + at(x + hx, y) +
+                                     at(x, y + hy) + at(x + hx, y + hy) + 2) >>
+                                    2);
+    }
+    if (hx && hy) {
+        // Horizontal pass at two rows, then the vertical average.
+        return static_cast<uint8_t>(
+            (tap4(x, y, 1, 0) + tap4(x, y + 1, 1, 0) + 1) >> 1);
+    }
+    return static_cast<uint8_t>(tap4(x, y, hx, hy));
 }
 
 } // namespace vepro::check

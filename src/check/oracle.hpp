@@ -60,6 +60,11 @@ enum class Fault {
     ProbeQuiet,     ///< The probe under test sizes every quiet budget one
                     ///< op too long (Probe::injectQuietFault), so a fast
                     ///< call can run over a window or interval boundary.
+    HpelEdge,       ///< Half-pel planes built without edge replication
+                    ///< (HalfPelPlanes::injectEdgeFault): taps outside
+                    ///< the plane read zero.
+    DctOdd,         ///< The matrix DCT reference adds one odd-part term
+                    ///< (basis row 1, input 0) with the wrong sign.
 };
 
 /** CLI name of a fault ("cache-lru", ...; "none" for Fault::None). */
@@ -362,6 +367,26 @@ double refFixedEnergyJoules(const backend::MachineProfile &p,
  */
 std::vector<size_t> refConvexHull(const std::vector<video::RdPoint> &pts,
                                   Fault fault = Fault::None);
+
+/**
+ * Plain O(n^3) matrix forms of the integer DCT pair: the definition the
+ * kernel-table butterflies regroup. fdct: dst = (T X T^T + 2^19) >> 20;
+ * idct: dst = clamp16((T^T Y T + 2^19) >> 20), both with exact int64
+ * sums over the row-major [k][i] basis @p basis.
+ */
+void refFdct(const int16_t *src, int32_t *dst, int n, const int32_t *basis,
+             Fault fault = Fault::None);
+void refIdct(const int32_t *src, int16_t *dst, int n, const int32_t *basis,
+             Fault fault = Fault::None);
+
+/**
+ * The half-pel sample at (x + hx/2, y + hy/2) of a w x h plane, written
+ * per pel with every tap clamped into the plane: the sharp 4-tap
+ * formula of the former per-block clamped compensation path, or the
+ * bilinear average. (hx, hy) is not (0, 0).
+ */
+uint8_t refHalfPel(const uint8_t *plane, int stride, int w, int h, int x,
+                   int y, int hx, int hy, bool sharp);
 
 /** Naive per-pixel box downscale: clipped box sum, (sum + cnt/2)/cnt.
  *  No kernel table, no interior/edge split — the obviously-correct

@@ -149,8 +149,8 @@ FrameDecoder::decodeLeaf(const BlockRect &r)
             dy = -dy;
         }
         mv = {mvp.x + dx, mvp.y + dy};
-        motionCompensate(viewOf(ref_.y(), 0), width_, height_, r.x, r.y, r.w,
-                         r.h, mv, pred_view, config_.me.sharpSubpel);
+        motionCompensate(viewOf(ref_.y(), 0), ref_hpel_.plane[0], r.x, r.y,
+                         r.w, r.h, mv, pred_view);
         storeMv(r, mv);
     } else {
         auto mode = static_cast<IntraMode>(rd_->decodeUeGolomb());
@@ -217,9 +217,9 @@ FrameDecoder::decodeChroma(const BlockRect &r, bool inter, MotionVector mv)
 
         if (inter) {
             MotionVector half{mv.x / 2, mv.y / 2};
-            motionCompensate(viewOf(*ref_planes[plane], 0), cw, ch, c.x, c.y,
-                             c.w, c.h, half, pred_view,
-                             config_.me.sharpSubpel);
+            motionCompensate(viewOf(*ref_planes[plane], 0),
+                             ref_hpel_.plane[1 + plane], c.x, c.y, c.w,
+                             c.h, half, pred_view);
         } else {
             IntraNeighbors nb =
                 gatherNeighbors(recon_plane, c.x, c.y, c.w, c.h, cw, ch);
@@ -287,6 +287,7 @@ FrameDecoder::decodeFrame(const std::vector<uint8_t> &payload, bool keyframe)
     loopFilterPlane(recon_.y(), width_, height_, config_.filterPasses,
                     quant_.step(), 0);
     ref_ = recon_;
+    ref_hpel_.build(ref_, width_, height_, config_.me.sharpSubpel);
     ++frames_decoded_;
 }
 

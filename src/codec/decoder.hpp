@@ -69,6 +69,7 @@ class FrameDecoder
 
     video::Frame recon_;
     video::Frame ref_;
+    RefFramePlanes ref_hpel_;  ///< Half-pel planes of ref_.
     bool keyframe_ = true;
     int frames_decoded_ = 0;
 

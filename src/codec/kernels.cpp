@@ -4,8 +4,6 @@
 #include <cstddef>
 #include <cstdlib>
 
-#include "codec/transform.hpp"
-
 #if defined(__aarch64__) && defined(__linux__)
 #include <sys/auxv.h>
 #ifndef HWCAP_ASIMD
@@ -130,72 +128,148 @@ reconstructScalar(const uint8_t *pred, int pred_stride, const int16_t *res,
 
 constexpr int kFracBits = 10;  // must match the basis scale in transform.cpp
 
+// The integer DCT-II basis keeps the sign symmetry of the real one,
+// T[k][n-1-i] = (-1)^k T[k][i], because lround rounds halves away from
+// zero (lround(-x) == -lround(x)). The partial butterflies below use it
+// to fold each length-m stage into its even half (recursed on) and odd
+// half (dot products of length m/2). They regroup the exact int64 sums
+// of the matrix product, so every output is the same integer.
+
+/**
+ * One forward butterfly stage with step S = N/M: v holds M pre-summed
+ * inputs, and y[S*j] = sum_{i<M} T[S*j][i] * v[i] for j < M. The odd
+ * outputs take the difference half; the even ones recurse on the sum
+ * half. v is consumed.
+ */
+template <int N, int M>
 void
-fdctScalar(const int16_t *src, int32_t *dst, int n, const int32_t *basis)
+fdctStage(int64_t *v, int64_t *y, const int32_t *basis)
 {
-    int64_t tmp[kMaxTxSize * kMaxTxSize];
+    if constexpr (M == 1) {
+        y[0] = basis[0] * v[0];
+    } else {
+        constexpr int S = N / M, H = M / 2;
+        int64_t odd[H];
+        for (int i = 0; i < H; ++i) {
+            odd[i] = v[i] - v[M - 1 - i];
+            v[i] += v[M - 1 - i];
+        }
+        for (int j = 1; j < M; j += 2) {
+            const int32_t *row = basis + S * j * N;
+            int64_t acc = 0;
+            for (int i = 0; i < H; ++i) {
+                acc += row[i] * odd[i];
+            }
+            y[S * j] = acc;
+        }
+        fdctStage<N, H>(v, y, basis);
+    }
+}
+
+/**
+ * One inverse butterfly stage with step S = N/M: y[i] = sum_{j<M}
+ * T[S*j][i] * x[S*j] for i < M, from the even half's recursion plus
+ * (first half) or minus (mirrored half) the odd inputs' sums.
+ */
+template <int N, int M>
+void
+idctStage(const int64_t *x, int64_t *y, const int32_t *basis)
+{
+    if constexpr (M == 1) {
+        y[0] = basis[0] * x[0];
+    } else {
+        constexpr int S = N / M, H = M / 2;
+        idctStage<N, H>(x, y, basis);
+        int64_t odd[H] = {};
+        for (int j = 1; j < M; j += 2) {
+            const int32_t *row = basis + S * j * N;
+            const int64_t xj = x[S * j];
+            for (int i = 0; i < H; ++i) {
+                odd[i] += row[i] * xj;
+            }
+        }
+        for (int i = 0; i < H; ++i) {
+            const int64_t even = y[i];
+            y[i] = even + odd[i];
+            y[M - 1 - i] = even - odd[i];
+        }
+    }
+}
+
+template <int N>
+void
+fdctN(const int16_t *src, int32_t *dst, const int32_t *basis)
+{
+    int64_t tmp[N * N];
+    int64_t line[N], out[N];
 
     // Rows: tmp[r][k] = sum_i src[r][i] * T[k][i]
-    for (int r = 0; r < n; ++r) {
-        for (int k = 0; k < n; ++k) {
-            int64_t acc = 0;
-            const int32_t *basis_row = basis + static_cast<ptrdiff_t>(k) * n;
-            const int16_t *src_row = src + static_cast<ptrdiff_t>(r) * n;
-            for (int i = 0; i < n; ++i) {
-                acc += static_cast<int64_t>(src_row[i]) * basis_row[i];
-            }
-            tmp[static_cast<size_t>(r) * n + k] = acc;
-        }
+    for (int r = 0; r < N; ++r) {
+        std::copy(src + r * N, src + (r + 1) * N, line);
+        fdctStage<N, N>(line, tmp + r * N, basis);
     }
     // Columns: dst[k][c] = sum_r T[k][r] * tmp[r][c], with scale removal.
     const int64_t round = 1LL << (2 * kFracBits - 1);
-    for (int k = 0; k < n; ++k) {
-        const int32_t *basis_row = basis + static_cast<ptrdiff_t>(k) * n;
-        for (int c = 0; c < n; ++c) {
-            int64_t acc = 0;
-            for (int r = 0; r < n; ++r) {
-                acc += basis_row[r] * tmp[static_cast<size_t>(r) * n + c];
-            }
-            dst[static_cast<size_t>(k) * n + c] =
-                static_cast<int32_t>((acc + round) >> (2 * kFracBits));
+    for (int c = 0; c < N; ++c) {
+        for (int r = 0; r < N; ++r) {
+            line[r] = tmp[r * N + c];
         }
+        fdctStage<N, N>(line, out, basis);
+        for (int k = 0; k < N; ++k) {
+            dst[k * N + c] =
+                static_cast<int32_t>((out[k] + round) >> (2 * kFracBits));
+        }
+    }
+}
+
+template <int N>
+void
+idctN(const int32_t *src, int16_t *dst, const int32_t *basis)
+{
+    int64_t tmp[N * N];
+    int64_t line[N], out[N];
+
+    // Columns: tmp[r][c] = sum_k T[k][r] * src[k][c]
+    for (int c = 0; c < N; ++c) {
+        for (int k = 0; k < N; ++k) {
+            line[k] = src[k * N + c];
+        }
+        idctStage<N, N>(line, out, basis);
+        for (int r = 0; r < N; ++r) {
+            tmp[r * N + c] = out[r];
+        }
+    }
+    // Rows: dst[r][i] = sum_k tmp[r][k] * T[k][i]
+    const int64_t round = 1LL << (2 * kFracBits - 1);
+    for (int r = 0; r < N; ++r) {
+        idctStage<N, N>(tmp + r * N, out, basis);
+        for (int i = 0; i < N; ++i) {
+            const int64_t v = (out[i] + round) >> (2 * kFracBits);
+            dst[r * N + i] =
+                static_cast<int16_t>(std::clamp<int64_t>(v, -32768, 32767));
+        }
+    }
+}
+
+void
+fdctScalar(const int16_t *src, int32_t *dst, int n, const int32_t *basis)
+{
+    switch (n) {
+      case 4: fdctN<4>(src, dst, basis); break;
+      case 8: fdctN<8>(src, dst, basis); break;
+      case 16: fdctN<16>(src, dst, basis); break;
+      default: fdctN<32>(src, dst, basis); break;
     }
 }
 
 void
 idctScalar(const int32_t *src, int16_t *dst, int n, const int32_t *basis)
 {
-    int64_t tmp[kMaxTxSize * kMaxTxSize];
-
-    // Columns: tmp[r][c] = sum_k T[k][r] * src[k][c]
-    for (int r = 0; r < n; ++r) {
-        for (int c = 0; c < n; ++c) {
-            int64_t acc = 0;
-            for (int k = 0; k < n; ++k) {
-                acc += static_cast<int64_t>(
-                           basis[static_cast<size_t>(k) * n + r]) *
-                       src[static_cast<size_t>(k) * n + c];
-            }
-            tmp[static_cast<size_t>(r) * n + c] = acc;
-        }
-    }
-    // Rows: dst[r][i] = sum_k tmp[r][k] * T[k][i]
-    const int64_t round = 1LL << (2 * kFracBits - 1);
-    for (int r = 0; r < n; ++r) {
-        for (int i = 0; i < n; ++i) {
-            int64_t acc = 0;
-            for (int k = 0; k < n; ++k) {
-                acc += tmp[static_cast<size_t>(r) * n + k] *
-                       basis[static_cast<size_t>(k) * n + i];
-            }
-            int64_t v = (acc + round) >> (2 * kFracBits);
-            if (v > 32767) {
-                v = 32767;
-            } else if (v < -32768) {
-                v = -32768;
-            }
-            dst[static_cast<size_t>(r) * n + i] = static_cast<int16_t>(v);
-        }
+    switch (n) {
+      case 4: idctN<4>(src, dst, basis); break;
+      case 8: idctN<8>(src, dst, basis); break;
+      case 16: idctN<16>(src, dst, basis); break;
+      default: idctN<32>(src, dst, basis); break;
     }
 }
 
@@ -250,53 +324,6 @@ lerpblendScalar(const uint8_t *a, const uint8_t *b, int w6, uint8_t *dst,
     }
 }
 
-void
-mcBilinearScalar(const uint8_t *src, int src_stride, int w, int h,
-                 int half_x, int half_y, uint8_t *dst, int dst_stride)
-{
-    for (int y = 0; y < h; ++y) {
-        const uint8_t *r0 = src + static_cast<ptrdiff_t>(y) * src_stride;
-        const uint8_t *r1 = r0 + (half_y ? src_stride : 0);
-        uint8_t *out = dst + static_cast<ptrdiff_t>(y) * dst_stride;
-        for (int x = 0; x < w; ++x) {
-            int x1 = x + (half_x ? 1 : 0);
-            int v = r0[x] + r0[x1] + r1[x] + r1[x1] + 2;
-            out[x] = static_cast<uint8_t>(v >> 2);
-        }
-    }
-}
-
-/** (-a + 5b + 5c - d + 4) >> 3, clamped to a pel. */
-inline uint8_t
-tap4(int a, int b, int c, int d)
-{
-    int v = (-a + 5 * b + 5 * c - d + 4) >> 3;
-    return static_cast<uint8_t>(std::clamp(v, 0, 255));
-}
-
-void
-mcSharpScalar(const uint8_t *src, int src_stride, int w, int h, int half_x,
-              int half_y, uint8_t *dst, int dst_stride)
-{
-    const ptrdiff_t s = src_stride;
-    for (int y = 0; y < h; ++y) {
-        const uint8_t *r = src + static_cast<ptrdiff_t>(y) * s;
-        uint8_t *out = dst + static_cast<ptrdiff_t>(y) * dst_stride;
-        for (int x = 0; x < w; ++x) {
-            const uint8_t *p = r + x;
-            if (half_x && half_y) {
-                uint8_t h0 = tap4(p[-1], p[0], p[1], p[2]);
-                uint8_t h1 = tap4(p[s - 1], p[s], p[s + 1], p[s + 2]);
-                out[x] = static_cast<uint8_t>((h0 + h1 + 1) >> 1);
-            } else if (half_x) {
-                out[x] = tap4(p[-1], p[0], p[1], p[2]);
-            } else {
-                out[x] = tap4(p[-s], p[0], p[s], p[2 * s]);
-            }
-        }
-    }
-}
-
 const KernelTable &
 resolveTable()
 {
@@ -347,8 +374,6 @@ scalarKernels()
         t.dequant = dequantScalar;
         t.boxdown = boxdownScalar;
         t.lerpblend = lerpblendScalar;
-        t.mcBilinear = mcBilinearScalar;
-        t.mcSharp = mcSharpScalar;
         return t;
     }();
     return table;

@@ -6,9 +6,8 @@
  * Runtime-dispatched SIMD kernel table for the codec hot loops.
  *
  * The pixel kernels (SAD/SSE/SATD, residual/reconstruct, the integer
- * DCT passes, the quantiser inner loop, and half-pel motion
- * compensation) dominate every sweep, so
- * they are provided in three flavours: portable scalar C++, AVX2
+ * DCT passes, the quantiser inner loop) dominate every sweep, so they
+ * are provided in three flavours: portable scalar C++, AVX2
  * (x86-64), and NEON (aarch64). A one-time CPU-feature probe picks the
  * widest table the host supports; `VEPRO_FORCE_SCALAR=1` in the
  * environment forces the scalar table for debugging and A/B timing.
@@ -82,26 +81,6 @@ struct KernelTable {
      */
     void (*lerpblend)(const uint8_t *a, const uint8_t *b, int w6,
                       uint8_t *dst, int n) = nullptr;
-    /**
-     * Half-pel motion-compensated prediction of one w x h block. @p src
-     * is the reference pel at the block's full-pel origin; @p half_x and
-     * @p half_y (0 or 1, not both 0) select the phase. mcBilinear:
-     * out = (r0[x] + r0[x1] + r1[x] + r1[x1] + 2) >> 2, with
-     * x1 = x + half_x and r1 the row half_y below r0. mcSharp: the 4-tap
-     * (-1,5,5,-1)/8 filter, rounded and clamped to [0,255], along the
-     * half-pel axis; with both phases set, the horizontal filter at rows
-     * y and y+1 averaged as (h0 + h1 + 1) >> 1. Every tap must lie inside
-     * the reference plane: the sharp taps reach one pel before and two
-     * past the block along a half-pel axis (one row below when both are
-     * set). motionCompensate keeps its clamped loop for blocks whose
-     * footprint crosses the plane edge.
-     */
-    void (*mcBilinear)(const uint8_t *src, int src_stride, int w, int h,
-                       int half_x, int half_y, uint8_t *dst,
-                       int dst_stride) = nullptr;
-    void (*mcSharp)(const uint8_t *src, int src_stride, int w, int h,
-                    int half_x, int half_y, uint8_t *dst,
-                    int dst_stride) = nullptr;
 };
 
 /**

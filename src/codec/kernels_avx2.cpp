@@ -11,15 +11,12 @@
  *    irrelevant and results are exact.
  *  - reconstruct uses saturating int16 adds; clamp(sat16(p + r), 0, 255)
  *    equals clamp(p + r, 0, 255) for p in [0,255] and any int16 r.
- *  - The DCT passes keep the scalar operation structure (exact 32x32->64
- *    products via vpmuldq; the inverse row pass emulates a full 64x32
- *    multiply) so the rounding/truncation points match exactly.
+ *  - The DCT passes run the scalar partial butterflies in double lanes,
+ *    where every intermediate is an integer below 2^53 and therefore
+ *    exact; inverse input too large for that takes the scalar kernel.
  *  - quant/dequant perform the same IEEE-754 double operations as the
  *    scalar loop, and cvttpd truncates toward zero exactly like the
  *    scalar int cast.
- *  - The motion-compensation filters keep every intermediate inside
- *    s16 and replace the clamp and the rounding averages with the
- *    saturating pack and avg_epu8, which compute them exactly.
  */
 
 #include "codec/kernels.hpp"
@@ -47,36 +44,6 @@ hsumEpi64(__m256i v)
     return static_cast<uint64_t>(_mm_cvtsi128_si64(s)) +
            static_cast<uint64_t>(
                _mm_cvtsi128_si64(_mm_unpackhi_epi64(s, s)));
-}
-
-inline int64_t
-hsumEpi32To64(__m256i v)
-{
-    // Exact sum of 8 int32 lanes (no lane can overflow the int64 sum).
-    __m256i lo = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(v));
-    __m256i hi = _mm256_cvtepi32_epi64(_mm256_extracti128_si256(v, 1));
-    return static_cast<int64_t>(hsumEpi64(_mm256_add_epi64(lo, hi)));
-}
-
-/** Low 64 bits of the lane-wise signed 64x64 product (Agner Fog). */
-inline __m256i
-mul64(__m256i a, __m256i b)
-{
-    __m256i bswap = _mm256_shuffle_epi32(b, 0xB1);
-    __m256i prodlh = _mm256_mullo_epi32(a, bswap);
-    __m256i prodlh2 = _mm256_hadd_epi32(prodlh, _mm256_setzero_si256());
-    __m256i prodlh3 = _mm256_shuffle_epi32(prodlh2, 0x73);
-    __m256i prodll = _mm256_mul_epu32(a, b);
-    return _mm256_add_epi64(prodll, prodlh3);
-}
-
-/** Arithmetic 64-bit right shift by the transform scale (20 bits). */
-inline __m256i
-srai64Scale(__m256i x)
-{
-    __m256i neg = _mm256_cmpgt_epi64(_mm256_setzero_si256(), x);
-    return _mm256_or_si256(_mm256_srli_epi64(x, 20),
-                           _mm256_slli_epi64(neg, 44));
 }
 
 // -------------------------------------------------------------- SAD / SSE
@@ -351,154 +318,275 @@ reconstructAvx2(const uint8_t *pred, int pred_stride, const int16_t *res,
 }
 
 // -------------------------------------------------------------- DCT passes
+//
+// Both transforms run the scalar partial butterflies (kernels.cpp) on
+// 4-wide strips of independent 1-D transforms, in double lanes. A strip
+// transforms four columns; its outputs are stored transposed, so the
+// second pass is again a column pass and its transposed store restores
+// the layout. Running the column pass first regroups the same exact
+// integer sums as the scalar rows-first order.
+//
+// Exactness: every product and partial sum is an integer of magnitude
+// below 2^53, so each double multiply and add is exact. Every row and
+// column of T has absolute sum below 2^13 at every size, so int16 input
+// keeps the forward sums below 2^15 * 2^13 * 2^13 = 2^41, and inverse
+// input below 2^26 keeps them below 2^52 (larger input takes the scalar
+// kernel). The final (acc + 2^19) >> 20 is a floor of an exact
+// power-of-two scaling.
 
-/**
- * Forward DCT. Row pass: all products and partial sums provably fit
- * int32 for int16 input (|basis| <= 1024*sqrt(2/n), so |tmp| < 2^29), so
- * plain 32-bit lane math is exact and tmp can be stored as int32 even
- * though the scalar reference accumulates in int64. Column pass: 32x32
- * products reach ~2^41 and are taken exactly via vpmuldq into int64.
- */
+/** T[k][i] for i < n/2 — the only entries the butterflies read — as
+ *  doubles, row stride n/2. */
+template <int N>
 void
-fdctAvx2(const int16_t *src, int32_t *dst, int n, const int32_t *basis)
+basisHalf(const int32_t *basis, double *out)
 {
-    if (n < 8) {
-        scalarKernels().fdct(src, dst, n, basis);
-        return;
-    }
-    alignas(32) int32_t srcw[32];
-    alignas(32) int32_t tmp[32 * 32];
-
-    for (int r = 0; r < n; ++r) {
-        const int16_t *src_row = src + static_cast<ptrdiff_t>(r) * n;
-        for (int i = 0; i < n; i += 8) {
-            _mm256_store_si256(
-                reinterpret_cast<__m256i *>(srcw + i),
-                _mm256_cvtepi16_epi32(_mm_loadu_si128(
-                    reinterpret_cast<const __m128i *>(src_row + i))));
-        }
-        for (int k = 0; k < n; ++k) {
-            const int32_t *brow = basis + static_cast<ptrdiff_t>(k) * n;
-            __m256i acc = _mm256_setzero_si256();
-            for (int i = 0; i < n; i += 8) {
-                __m256i s =
-                    _mm256_load_si256(reinterpret_cast<__m256i *>(srcw + i));
-                __m256i t = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(brow + i));
-                acc = _mm256_add_epi32(acc, _mm256_mullo_epi32(s, t));
-            }
-            tmp[static_cast<size_t>(r) * n + k] =
-                static_cast<int32_t>(hsumEpi32To64(acc));
-        }
-    }
-
-    const __m256i round = _mm256_set1_epi64x(1LL << 19);
-    for (int k = 0; k < n; ++k) {
-        const int32_t *brow = basis + static_cast<ptrdiff_t>(k) * n;
-        for (int c = 0; c < n; c += 8) {
-            __m256i acc_even = round;
-            __m256i acc_odd = round;
-            for (int r = 0; r < n; ++r) {
-                __m256i b = _mm256_set1_epi32(brow[r]);
-                __m256i t = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(
-                        tmp + static_cast<size_t>(r) * n + c));
-                acc_even = _mm256_add_epi64(acc_even,
-                                            _mm256_mul_epi32(t, b));
-                acc_odd = _mm256_add_epi64(
-                    acc_odd,
-                    _mm256_mul_epi32(_mm256_srli_epi64(t, 32), b));
-            }
-            __m256i even = srai64Scale(acc_even);
-            __m256i odd = srai64Scale(acc_odd);
-            __m256i out = _mm256_blend_epi32(
-                even, _mm256_slli_epi64(odd, 32), 0xAA);
-            _mm256_storeu_si256(
-                reinterpret_cast<__m256i *>(
-                    dst + static_cast<size_t>(k) * n + c),
-                out);
+    constexpr int h = N / 2;
+    for (int k = 0; k < N; ++k) {
+        for (int i = 0; i < h; i += 4) {
+            _mm256_storeu_pd(
+                out + k * h + i,
+                _mm256_cvtepi32_pd(_mm_loadu_si128(
+                    reinterpret_cast<const __m128i *>(basis + k * N + i))));
         }
     }
 }
 
-/**
- * Inverse DCT. The intermediate tmp can exceed int32 for legal
- * coefficient input, so the column pass stores exact int64 (vpmuldq)
- * and the row pass multiplies 64x32 via the emulated full multiply.
- */
+/** Forward butterfly stage of one strip (see fdctStage in
+ *  kernels.cpp); tb is basisHalf's table. Four odd outputs accumulate
+ *  side by side to keep the add chains short. */
+template <int N, int M>
+inline void
+fdctStrip(__m256d *v, __m256d *y, const double *tb)
+{
+    if constexpr (M == 1) {
+        y[0] = _mm256_mul_pd(_mm256_broadcast_sd(tb), v[0]);
+    } else {
+        constexpr int S = N / M, H = M / 2;
+        __m256d odd[H];
+        for (int i = 0; i < H; ++i) {
+            odd[i] = _mm256_sub_pd(v[i], v[M - 1 - i]);
+            v[i] = _mm256_add_pd(v[i], v[M - 1 - i]);
+        }
+        constexpr int hs = N / 2;  // tb row stride
+        if constexpr (H >= 4) {
+            for (int j = 1; j < M; j += 8) {
+                const double *t0 = tb + S * j * hs;
+                const double *t1 = t0 + 2 * S * hs;
+                const double *t2 = t1 + 2 * S * hs;
+                const double *t3 = t2 + 2 * S * hs;
+                __m256d a0 = _mm256_mul_pd(_mm256_broadcast_sd(t0), odd[0]);
+                __m256d a1 = _mm256_mul_pd(_mm256_broadcast_sd(t1), odd[0]);
+                __m256d a2 = _mm256_mul_pd(_mm256_broadcast_sd(t2), odd[0]);
+                __m256d a3 = _mm256_mul_pd(_mm256_broadcast_sd(t3), odd[0]);
+                for (int i = 1; i < H; ++i) {
+                    a0 = _mm256_add_pd(
+                        a0, _mm256_mul_pd(_mm256_broadcast_sd(t0 + i), odd[i]));
+                    a1 = _mm256_add_pd(
+                        a1, _mm256_mul_pd(_mm256_broadcast_sd(t1 + i), odd[i]));
+                    a2 = _mm256_add_pd(
+                        a2, _mm256_mul_pd(_mm256_broadcast_sd(t2 + i), odd[i]));
+                    a3 = _mm256_add_pd(
+                        a3, _mm256_mul_pd(_mm256_broadcast_sd(t3 + i), odd[i]));
+                }
+                y[S * j] = a0;
+                y[S * (j + 2)] = a1;
+                y[S * (j + 4)] = a2;
+                y[S * (j + 6)] = a3;
+            }
+        } else {
+            for (int j = 1; j < M; j += 2) {
+                const double *t = tb + S * j * hs;
+                __m256d acc = _mm256_mul_pd(_mm256_broadcast_sd(t), odd[0]);
+                for (int i = 1; i < H; ++i) {
+                    acc = _mm256_add_pd(
+                        acc, _mm256_mul_pd(_mm256_broadcast_sd(t + i), odd[i]));
+                }
+                y[S * j] = acc;
+            }
+        }
+        fdctStrip<N, H>(v, y, tb);
+    }
+}
+
+/** Inverse butterfly stage of one strip (see idctStage in kernels.cpp). */
+template <int N, int M>
+inline void
+idctStrip(const __m256d *x, __m256d *y, const double *tb)
+{
+    if constexpr (M == 1) {
+        y[0] = _mm256_mul_pd(_mm256_broadcast_sd(tb), x[0]);
+    } else {
+        constexpr int S = N / M, H = M / 2;
+        idctStrip<N, H>(x, y, tb);
+        __m256d odd[H];
+        for (int i = 0; i < H; ++i) {
+            odd[i] = _mm256_setzero_pd();
+        }
+        for (int j = 1; j < M; j += 2) {
+            const double *row = tb + S * j * N / 2;
+            const __m256d xj = x[S * j];
+            for (int i = 0; i < H; ++i) {
+                odd[i] = _mm256_add_pd(
+                    odd[i], _mm256_mul_pd(_mm256_broadcast_sd(row + i), xj));
+            }
+        }
+        for (int i = 0; i < H; ++i) {
+            const __m256d even = y[i];
+            y[i] = _mm256_add_pd(even, odd[i]);
+            y[M - 1 - i] = _mm256_sub_pd(even, odd[i]);
+        }
+    }
+}
+
+/** Transpose a 4x4 block held as four row vectors. */
+inline void
+transpose4(__m256d &a, __m256d &b, __m256d &c, __m256d &d)
+{
+    const __m256d t0 = _mm256_unpacklo_pd(a, b);
+    const __m256d t1 = _mm256_unpackhi_pd(a, b);
+    const __m256d t2 = _mm256_unpacklo_pd(c, d);
+    const __m256d t3 = _mm256_unpackhi_pd(c, d);
+    a = _mm256_permute2f128_pd(t0, t2, 0x20);
+    b = _mm256_permute2f128_pd(t1, t3, 0x20);
+    c = _mm256_permute2f128_pd(t0, t2, 0x31);
+    d = _mm256_permute2f128_pd(t1, t3, 0x31);
+}
+
+/** Store strip outputs y[k] (lanes = columns c0..c0+3) transposed:
+ *  out[(c0 + l) * n + k] = y[k][l]. */
+template <int N>
+inline void
+storeTransposed(__m256d *y, int c0, double *out)
+{
+    for (int k = 0; k < N; k += 4) {
+        transpose4(y[k], y[k + 1], y[k + 2], y[k + 3]);
+        for (int l = 0; l < 4; ++l) {
+            _mm256_storeu_pd(out + (c0 + l) * N + k, y[k + l]);
+        }
+    }
+}
+
+/** floor((acc + 2^19) / 2^20): the transform's scale removal. */
+inline __m256d
+descale(__m256d acc)
+{
+    return _mm256_floor_pd(_mm256_mul_pd(
+        _mm256_add_pd(acc, _mm256_set1_pd(1 << 19)),
+        _mm256_set1_pd(1.0 / (1 << 20))));
+}
+
+template <int N>
+void
+fdctAvx2N(const int16_t *src, int32_t *dst, const int32_t *basis)
+{
+    double tb[N * N / 2];
+    basisHalf<N>(basis, tb);
+    double ut[N * N];  // (T X)^T
+    __m256d v[N], y[N];
+
+    for (int c0 = 0; c0 < N; c0 += 4) {
+        for (int i = 0; i < N; ++i) {
+            v[i] = _mm256_cvtepi32_pd(_mm_cvtepi16_epi32(_mm_loadl_epi64(
+                reinterpret_cast<const __m128i *>(src + i * N + c0))));
+        }
+        fdctStrip<N, N>(v, y, tb);
+        storeTransposed<N>(y, c0, ut);
+    }
+    for (int k0 = 0; k0 < N; k0 += 4) {
+        for (int i = 0; i < N; ++i) {
+            v[i] = _mm256_loadu_pd(ut + i * N + k0);
+        }
+        fdctStrip<N, N>(v, y, tb);
+        for (int c = 0; c < N; c += 4) {
+            __m256d *q = y + c;
+            for (int l = 0; l < 4; ++l) {
+                q[l] = descale(q[l]);
+            }
+            transpose4(q[0], q[1], q[2], q[3]);
+            for (int l = 0; l < 4; ++l) {
+                _mm_storeu_si128(
+                    reinterpret_cast<__m128i *>(dst + (k0 + l) * N + c),
+                    _mm256_cvtpd_epi32(q[l]));
+            }
+        }
+    }
+}
+
+template <int N>
+void
+idctAvx2N(const int32_t *src, int16_t *dst, const int32_t *basis)
+{
+    // Exact only below 2^26 in magnitude (see above). abs(INT32_MIN)
+    // reads as 2^31 in an unsigned lane, so it falls back as well.
+    __m256i peak = _mm256_setzero_si256();
+    for (int i = 0; i < N * N; i += 8) {
+        peak = _mm256_max_epu32(
+            peak, _mm256_abs_epi32(_mm256_loadu_si256(
+                      reinterpret_cast<const __m256i *>(src + i))));
+    }
+    const __m256i limit = _mm256_set1_epi32((1 << 26) - 1);
+    const __m256i in_range =
+        _mm256_cmpeq_epi32(_mm256_min_epu32(peak, limit), peak);
+    if (_mm256_movemask_epi8(in_range) != -1) {
+        scalarKernels().idct(src, dst, N, basis);
+        return;
+    }
+    double tb[N * N / 2];
+    basisHalf<N>(basis, tb);
+    double tt[N * N];  // (T^T Y)^T
+    __m256d x[N], y[N];
+
+    for (int c0 = 0; c0 < N; c0 += 4) {
+        for (int k = 0; k < N; ++k) {
+            x[k] = _mm256_cvtepi32_pd(_mm_loadu_si128(
+                reinterpret_cast<const __m128i *>(src + k * N + c0)));
+        }
+        idctStrip<N, N>(x, y, tb);
+        storeTransposed<N>(y, c0, tt);
+    }
+    const __m256d vmax = _mm256_set1_pd(32767.0);
+    const __m256d vmin = _mm256_set1_pd(-32768.0);
+    for (int r0 = 0; r0 < N; r0 += 4) {
+        for (int k = 0; k < N; ++k) {
+            x[k] = _mm256_loadu_pd(tt + k * N + r0);
+        }
+        idctStrip<N, N>(x, y, tb);
+        for (int i = 0; i < N; i += 4) {
+            __m256d *q = y + i;
+            for (int l = 0; l < 4; ++l) {
+                q[l] = _mm256_min_pd(_mm256_max_pd(descale(q[l]), vmin),
+                                     vmax);
+            }
+            transpose4(q[0], q[1], q[2], q[3]);
+            for (int l = 0; l < 4; ++l) {
+                const __m128i w = _mm256_cvtpd_epi32(q[l]);
+                _mm_storel_epi64(
+                    reinterpret_cast<__m128i *>(dst + (r0 + l) * N + i),
+                    _mm_packs_epi32(w, w));
+            }
+        }
+    }
+}
+
+void
+fdctAvx2(const int16_t *src, int32_t *dst, int n, const int32_t *basis)
+{
+    switch (n) {
+      case 8: fdctAvx2N<8>(src, dst, basis); break;
+      case 16: fdctAvx2N<16>(src, dst, basis); break;
+      case 32: fdctAvx2N<32>(src, dst, basis); break;
+      default: scalarKernels().fdct(src, dst, n, basis); break;
+    }
+}
+
 void
 idctAvx2(const int32_t *src, int16_t *dst, int n, const int32_t *basis)
 {
-    if (n < 8) {
-        scalarKernels().idct(src, dst, n, basis);
-        return;
-    }
-    alignas(32) int64_t tmp[32 * 32];
-
-    for (int r = 0; r < n; ++r) {
-        for (int c = 0; c < n; c += 8) {
-            __m256i acc_even = _mm256_setzero_si256();
-            __m256i acc_odd = _mm256_setzero_si256();
-            for (int k = 0; k < n; ++k) {
-                __m256i b = _mm256_set1_epi32(
-                    basis[static_cast<size_t>(k) * n + r]);
-                __m256i s = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(
-                        src + static_cast<size_t>(k) * n + c));
-                acc_even = _mm256_add_epi64(acc_even,
-                                            _mm256_mul_epi32(s, b));
-                acc_odd = _mm256_add_epi64(
-                    acc_odd,
-                    _mm256_mul_epi32(_mm256_srli_epi64(s, 32), b));
-            }
-            // Interleave back to memory order c, c+1, ...
-            __m256i lo = _mm256_unpacklo_epi64(acc_even, acc_odd);
-            __m256i hi = _mm256_unpackhi_epi64(acc_even, acc_odd);
-            _mm256_store_si256(
-                reinterpret_cast<__m256i *>(
-                    tmp + static_cast<size_t>(r) * n + c),
-                _mm256_permute2x128_si256(lo, hi, 0x20));
-            _mm256_store_si256(
-                reinterpret_cast<__m256i *>(
-                    tmp + static_cast<size_t>(r) * n + c + 4),
-                _mm256_permute2x128_si256(lo, hi, 0x31));
-        }
-    }
-
-    const __m256i round = _mm256_set1_epi64x(1LL << 19);
-    const __m256i vmax = _mm256_set1_epi64x(32767);
-    const __m256i vmin = _mm256_set1_epi64x(-32768);
-    alignas(32) int64_t out[8];
-    for (int r = 0; r < n; ++r) {
-        const int64_t *trow = tmp + static_cast<size_t>(r) * n;
-        for (int i = 0; i < n; i += 8) {
-            __m256i acc0 = round;  // outputs i .. i+3
-            __m256i acc1 = round;  // outputs i+4 .. i+7
-            for (int k = 0; k < n; ++k) {
-                __m256i a = _mm256_set1_epi64x(trow[k]);
-                const int32_t *brow =
-                    basis + static_cast<size_t>(k) * n + i;
-                __m256i b0 = _mm256_cvtepi32_epi64(_mm_loadu_si128(
-                    reinterpret_cast<const __m128i *>(brow)));
-                __m256i b1 = _mm256_cvtepi32_epi64(_mm_loadu_si128(
-                    reinterpret_cast<const __m128i *>(brow + 4)));
-                acc0 = _mm256_add_epi64(acc0, mul64(a, b0));
-                acc1 = _mm256_add_epi64(acc1, mul64(a, b1));
-            }
-            for (int half = 0; half < 2; ++half) {
-                __m256i v = srai64Scale(half == 0 ? acc0 : acc1);
-                __m256i too_big = _mm256_cmpgt_epi64(v, vmax);
-                v = _mm256_blendv_epi8(v, vmax, too_big);
-                __m256i too_small = _mm256_cmpgt_epi64(vmin, v);
-                v = _mm256_blendv_epi8(v, vmin, too_small);
-                _mm256_store_si256(
-                    reinterpret_cast<__m256i *>(out + 4 * half), v);
-            }
-            int16_t *drow = dst + static_cast<size_t>(r) * n + i;
-            for (int j = 0; j < 8; ++j) {
-                drow[j] = static_cast<int16_t>(out[j]);
-            }
-        }
+    switch (n) {
+      case 8: idctAvx2N<8>(src, dst, basis); break;
+      case 16: idctAvx2N<16>(src, dst, basis); break;
+      case 32: idctAvx2N<32>(src, dst, basis); break;
+      default: scalarKernels().idct(src, dst, n, basis); break;
     }
 }
 
@@ -648,153 +736,6 @@ lerpblendAvx2(const uint8_t *a, const uint8_t *b, int w6, uint8_t *dst,
     }
 }
 
-// ------------------------------------------------ motion compensation
-//
-// The 4-tap sum -a + 5(b + c) - d + 4 lies in [-506, 2554], so it is
-// exact in s16 lanes; srai is the scalar arithmetic >> 3, and the
-// unsigned-saturating pack is the scalar clamp to [0, 255]. avg_epu8 is
-// exactly (x + y + 1) >> 1, which is both the both-phase average of the
-// sharp filter and the single-phase bilinear (2x + 2y + 2) >> 2.
-
-inline __m256i
-widen16(const uint8_t *p)
-{
-    return _mm256_cvtepu8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(p)));
-}
-
-inline __m128i
-widen8(const uint8_t *p)
-{
-    return _mm_cvtepu8_epi16(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i *>(p)));
-}
-
-/** Sixteen 4-tap outputs from the taps at p - step, p, p + step and
- *  p + 2 * step, packed to pels. */
-inline __m128i
-tap4x16(const uint8_t *p, ptrdiff_t step)
-{
-    const __m256i five = _mm256_set1_epi16(5);
-    const __m256i four = _mm256_set1_epi16(4);
-    __m256i bc = _mm256_add_epi16(widen16(p), widen16(p + step));
-    __m256i ad = _mm256_add_epi16(widen16(p - step), widen16(p + 2 * step));
-    __m256i v = _mm256_srai_epi16(
-        _mm256_sub_epi16(_mm256_add_epi16(_mm256_mullo_epi16(bc, five), four),
-                         ad),
-        3);
-    return _mm_packus_epi16(_mm256_castsi256_si128(v),
-                            _mm256_extracti128_si256(v, 1));
-}
-
-/** Eight 4-tap outputs (see tap4x16), in the low half of the result. */
-inline __m128i
-tap4x8(const uint8_t *p, ptrdiff_t step)
-{
-    const __m128i five = _mm_set1_epi16(5);
-    const __m128i four = _mm_set1_epi16(4);
-    __m128i bc = _mm_add_epi16(widen8(p), widen8(p + step));
-    __m128i ad = _mm_add_epi16(widen8(p - step), widen8(p + 2 * step));
-    __m128i v = _mm_srai_epi16(
-        _mm_sub_epi16(_mm_add_epi16(_mm_mullo_epi16(bc, five), four), ad), 3);
-    return _mm_packus_epi16(v, v);
-}
-
-inline uint8_t
-tap4Scalar(const uint8_t *p, ptrdiff_t step)
-{
-    int v = (-p[-step] + 5 * p[0] + 5 * p[step] - p[2 * step] + 4) >> 3;
-    return static_cast<uint8_t>(v < 0 ? 0 : (v > 255 ? 255 : v));
-}
-
-void
-mcSharpAvx2(const uint8_t *src, int src_stride, int w, int h, int half_x,
-            int half_y, uint8_t *dst, int dst_stride)
-{
-    const ptrdiff_t s = src_stride;
-    // One tap direction: horizontal for half_x (with a second row when
-    // half_y is also set), vertical for half_y alone.
-    const ptrdiff_t step = half_x ? 1 : s;
-    const bool both = half_x && half_y;
-    for (int y = 0; y < h; ++y) {
-        const uint8_t *r = src + static_cast<ptrdiff_t>(y) * s;
-        uint8_t *out = dst + static_cast<ptrdiff_t>(y) * dst_stride;
-        int x = 0;
-        for (; x + 16 <= w; x += 16) {
-            __m128i v = tap4x16(r + x, step);
-            if (both) {
-                v = _mm_avg_epu8(v, tap4x16(r + s + x, step));
-            }
-            _mm_storeu_si128(reinterpret_cast<__m128i *>(out + x), v);
-        }
-        for (; x + 8 <= w; x += 8) {
-            __m128i v = tap4x8(r + x, step);
-            if (both) {
-                v = _mm_avg_epu8(v, tap4x8(r + s + x, step));
-            }
-            _mm_storel_epi64(reinterpret_cast<__m128i *>(out + x), v);
-        }
-        for (; x < w; ++x) {
-            uint8_t v = tap4Scalar(r + x, step);
-            if (both) {
-                v = static_cast<uint8_t>(
-                    (v + tap4Scalar(r + s + x, step) + 1) >> 1);
-            }
-            out[x] = v;
-        }
-    }
-}
-
-void
-mcBilinearAvx2(const uint8_t *src, int src_stride, int w, int h, int half_x,
-               int half_y, uint8_t *dst, int dst_stride)
-{
-    const ptrdiff_t dx = half_x ? 1 : 0;
-    const ptrdiff_t dy = half_y ? src_stride : 0;
-    const __m256i two = _mm256_set1_epi16(2);
-    for (int y = 0; y < h; ++y) {
-        const uint8_t *r0 = src + static_cast<ptrdiff_t>(y) * src_stride;
-        const uint8_t *r1 = r0 + dy;
-        uint8_t *out = dst + static_cast<ptrdiff_t>(y) * dst_stride;
-        int x = 0;
-        if (half_x && half_y) {
-            for (; x + 16 <= w; x += 16) {
-                __m256i sum = _mm256_add_epi16(
-                    _mm256_add_epi16(widen16(r0 + x), widen16(r0 + x + 1)),
-                    _mm256_add_epi16(widen16(r1 + x), widen16(r1 + x + 1)));
-                sum = _mm256_srli_epi16(_mm256_add_epi16(sum, two), 2);
-                _mm_storeu_si128(
-                    reinterpret_cast<__m128i *>(out + x),
-                    _mm_packus_epi16(_mm256_castsi256_si128(sum),
-                                     _mm256_extracti128_si256(sum, 1)));
-            }
-        } else {
-            // One phase: the bilinear sum is 2 (a + b) + 2.
-            const ptrdiff_t off = dx + dy;
-            for (; x + 32 <= w; x += 32) {
-                __m256i a = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(r0 + x));
-                __m256i b = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(r0 + off + x));
-                _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + x),
-                                    _mm256_avg_epu8(a, b));
-            }
-            for (; x + 16 <= w; x += 16) {
-                __m128i a =
-                    _mm_loadu_si128(reinterpret_cast<const __m128i *>(r0 + x));
-                __m128i b = _mm_loadu_si128(
-                    reinterpret_cast<const __m128i *>(r0 + off + x));
-                _mm_storeu_si128(reinterpret_cast<__m128i *>(out + x),
-                                 _mm_avg_epu8(a, b));
-            }
-        }
-        for (; x < w; ++x) {
-            int v = r0[x] + r0[x + dx] + r1[x] + r1[x + dx] + 2;
-            out[x] = static_cast<uint8_t>(v >> 2);
-        }
-    }
-}
-
 } // namespace
 
 namespace detail
@@ -818,8 +759,6 @@ avx2KernelsImpl()
         t.dequant = dequantAvx2;
         t.boxdown = boxdownAvx2;
         t.lerpblend = lerpblendAvx2;
-        t.mcBilinear = mcBilinearAvx2;
-        t.mcSharp = mcSharpAvx2;
         return t;
     }();
     return &table;

@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <limits>
+#include <stdexcept>
+#include <vector>
 
-#include "codec/kernels.hpp"
 #include "codec/sad.hpp"
 #include "trace/probe.hpp"
 
@@ -33,48 +34,12 @@ clampMv(MotionVector mv, int bx, int by, int w, int h, int ref_w, int ref_h)
 namespace
 {
 
-/** 4-tap (-1,5,5,-1)/8 interpolation with clamped sampling. */
+/** 4-tap (-1,5,5,-1)/8 interpolation, rounded and clamped to a pel. */
 inline uint8_t
 tap4(int a, int b, int c, int d)
 {
     int v = (-a + 5 * b + 5 * c - d + 4) >> 3;
     return static_cast<uint8_t>(std::clamp(v, 0, 255));
-}
-
-/**
- * The 4-tap filter with every tap clamped into the plane (edge
- * replication): the exact fallback for blocks whose footprint crosses
- * the plane edge, where the kernel table's raw-pointer filter would read
- * outside the plane.
- */
-void
-sharpClamped(const PelView &ref, int ref_w, int ref_h, int fx, int fy, int w,
-             int h, bool half_x, bool half_y, PelViewMut dst)
-{
-    auto sample = [&](int x, int y) -> int {
-        x = std::clamp(x + fx, 0, ref_w - 1);
-        y = std::clamp(y + fy, 0, ref_h - 1);
-        return ref.pel[static_cast<ptrdiff_t>(y) * ref.stride + x];
-    };
-    for (int y = 0; y < h; ++y) {
-        uint8_t *out = dst.row(y);
-        for (int x = 0; x < w; ++x) {
-            if (half_x && half_y) {
-                // Horizontal pass at two rows, then vertical average.
-                uint8_t h0 = tap4(sample(x - 1, y), sample(x, y),
-                                  sample(x + 1, y), sample(x + 2, y));
-                uint8_t h1 = tap4(sample(x - 1, y + 1), sample(x, y + 1),
-                                  sample(x + 1, y + 1), sample(x + 2, y + 1));
-                out[x] = static_cast<uint8_t>((h0 + h1 + 1) >> 1);
-            } else if (half_x) {
-                out[x] = tap4(sample(x - 1, y), sample(x, y),
-                              sample(x + 1, y), sample(x + 2, y));
-            } else {
-                out[x] = tap4(sample(x, y - 1), sample(x, y),
-                              sample(x, y + 1), sample(x, y + 2));
-            }
-        }
-    }
 }
 
 /** The modeled AVX2 op stream of one compensated block (codec.mc). */
@@ -87,17 +52,14 @@ probeMc(Probe *p, const PelView &src, PelViewMut dst, int w, int h,
     if (h >= 0) {
         const uint64_t n = static_cast<uint64_t>(h) * chunks;
         const bool sharp = interp && sharp_subpel;
-        trace::MixCounters body;
-        body.byClass[static_cast<int>(OpClass::SimdLoad)] =
-            n * (1 + (interp ? 1 : 0) + (sharp ? 1 : 0));
-        body.byClass[static_cast<int>(OpClass::SimdAlu)] =
-            n * ((interp ? 4 : 0) + (sharp ? 3 : 0));
-        body.byClass[static_cast<int>(OpClass::SimdMul)] = n * (sharp ? 2 : 0);
-        body.byClass[static_cast<int>(OpClass::SimdStore)] = n;
-        body.byClass[static_cast<int>(OpClass::Alu)] =
-            2 * static_cast<uint64_t>(h);
-        body.byClass[static_cast<int>(OpClass::BranchCond)] =
-            static_cast<uint64_t>(h);
+        trace::KernelCharge body;
+        body.add(OpClass::SimdLoad,
+                 n * (1 + (interp ? 1 : 0) + (sharp ? 1 : 0)))
+            .add(OpClass::SimdAlu, n * ((interp ? 4 : 0) + (sharp ? 3 : 0)))
+            .add(OpClass::SimdMul, n * (sharp ? 2 : 0))
+            .add(OpClass::SimdStore, n)
+            .add(OpClass::Alu, 2 * static_cast<uint64_t>(h))
+            .add(OpClass::BranchCond, static_cast<uint64_t>(h));
         if (p->quietKernel(site, 10, body)) {
             return;
         }
@@ -130,46 +92,107 @@ probeMc(Probe *p, const PelView &src, PelViewMut dst, int w, int h,
 } // namespace
 
 void
-motionCompensate(const PelView &ref, int ref_w, int ref_h, int bx, int by,
-                 int w, int h, MotionVector mv, PelViewMut dst,
-                 bool sharp_subpel)
+HalfPelPlanes::build(const PelView &ref, int width, int height, bool sharp)
 {
-    mv = clampMv(mv, bx, by, w, h, ref_w, ref_h);
+    if (width <= 0 || height <= 0) {
+        throw std::invalid_argument("HalfPelPlanes: empty plane");
+    }
+    width_ = width;
+    height_ = height;
+    sharp_ = sharp;
+
+    // An edge-replicated copy with one pel of margin before and two
+    // after on each axis holds every tap of every sample.
+    const int pw = width + 3;
+    std::vector<uint8_t> pad(static_cast<size_t>(pw) * (height + 3));
+    for (int y = -1; y < height + 2; ++y) {
+        const bool inside_y = y >= 0 && y < height;
+        const uint8_t *src = ref.row(std::clamp(y, 0, height - 1));
+        uint8_t *out = pad.data() + static_cast<ptrdiff_t>(y + 1) * pw + 1;
+        for (int x = -1; x < width + 2; ++x) {
+            const bool inside = inside_y && x >= 0 && x < width;
+            out[x] = edge_fault_ && !inside
+                         ? 0
+                         : src[std::clamp(x, 0, width - 1)];
+        }
+    }
+
+    const size_t size = static_cast<size_t>(width) * height;
+    planes_.resize(3 * size);
+    for (int y = 0; y < height; ++y) {
+        // r points at pel (0, y); taps reach r[-1 .. w+1] and the rows
+        // one above and two below.
+        const uint8_t *r = pad.data() + static_cast<ptrdiff_t>(y + 1) * pw + 1;
+        const uint8_t *r1 = r + pw;
+        uint8_t *hp = planes_.data() + static_cast<size_t>(y) * width;
+        uint8_t *vp = hp + size;
+        uint8_t *hvp = vp + size;
+        if (sharp) {
+            const uint8_t *r_up = r - pw;
+            const uint8_t *r2 = r1 + pw;
+            for (int x = 0; x < width; ++x) {
+                const uint8_t h0 = tap4(r[x - 1], r[x], r[x + 1], r[x + 2]);
+                const uint8_t h1 =
+                    tap4(r1[x - 1], r1[x], r1[x + 1], r1[x + 2]);
+                hp[x] = h0;
+                vp[x] = tap4(r_up[x], r[x], r1[x], r2[x]);
+                hvp[x] = static_cast<uint8_t>((h0 + h1 + 1) >> 1);
+            }
+        } else {
+            // One phase: (2a + 2b + 2) >> 2 == (a + b + 1) >> 1.
+            for (int x = 0; x < width; ++x) {
+                hp[x] = static_cast<uint8_t>((r[x] + r[x + 1] + 1) >> 1);
+                vp[x] = static_cast<uint8_t>((r[x] + r1[x] + 1) >> 1);
+                hvp[x] = static_cast<uint8_t>(
+                    (r[x] + r[x + 1] + r1[x] + r1[x + 1] + 2) >> 2);
+            }
+        }
+    }
+}
+
+const uint8_t *
+HalfPelPlanes::phase(bool half_x, bool half_y) const
+{
+    if (planes_.empty()) {
+        throw std::logic_error("HalfPelPlanes: phase planes not built");
+    }
+    const size_t index = half_x ? (half_y ? 2 : 0) : 1;
+    return planes_.data() + index * static_cast<size_t>(width_) * height_;
+}
+
+void
+RefFramePlanes::build(const video::Frame &ref, int width, int height,
+                      bool sharp)
+{
+    plane[0].build(viewOf(ref.y(), 0), width, height, sharp);
+    plane[1].build(viewOf(ref.u(), 0), width / 2, height / 2, sharp);
+    plane[2].build(viewOf(ref.v(), 0), width / 2, height / 2, sharp);
+}
+
+void
+motionCompensate(const PelView &ref, const HalfPelPlanes &planes, int bx,
+                 int by, int w, int h, MotionVector mv, PelViewMut dst)
+{
+    mv = clampMv(mv, bx, by, w, h, planes.width(), planes.height());
     int fx = bx + (mv.x >> 1);
     int fy = by + (mv.y >> 1);
     bool half_x = mv.x & 1;
     bool half_y = mv.y & 1;
     PelView src = ref.sub(fx, fy);
 
-    if (!half_x && !half_y) {
-        for (int y = 0; y < h; ++y) {
-            std::copy(src.row(y), src.row(y) + w, dst.row(y));
-        }
-    } else if (!sharp_subpel) {
-        // clampMv keeps the bilinear footprint (the block plus one pel
-        // along each half-pel axis) inside the plane.
-        kernels().mcBilinear(src.pel, src.stride, w, h, half_x, half_y,
-                             dst.pel, dst.stride);
-    } else {
-        // Separable 4-tap: sharper than bilinear (the HEVC/AV1 class of
-        // filters). The taps reach one pel before and two past the block
-        // along a half-pel axis, or one row below for the both-phase
-        // average; clampMv's margin does not cover that, so blocks at
-        // the plane edge replicate edge pels instead.
-        const int lo_x = half_x ? 1 : 0, hi_x = half_x ? 2 : 0;
-        const int lo_y = half_x ? 0 : 1, hi_y = half_x ? half_y : 2;
-        if (fx - lo_x >= 0 && fx + w - 1 + hi_x < ref_w && fy - lo_y >= 0 &&
-            fy + h - 1 + hi_y < ref_h) {
-            kernels().mcSharp(src.pel, src.stride, w, h, half_x, half_y,
-                              dst.pel, dst.stride);
-        } else {
-            sharpClamped(ref, ref_w, ref_h, fx, fy, w, h, half_x, half_y,
-                         dst);
-        }
+    // clampMv keeps the block inside the plane, so the copy reads the
+    // phase plane at the same (fx, fy) origin.
+    PelView from = src;
+    if (half_x || half_y) {
+        from = PelView{planes.phase(half_x, half_y), planes.width(), 0}.sub(
+            fx, fy);
+    }
+    for (int y = 0; y < h; ++y) {
+        std::copy(from.row(y), from.row(y) + w, dst.row(y));
     }
 
     if (Probe *p = currentProbe()) {
-        probeMc(p, src, dst, w, h, half_x || half_y, sharp_subpel);
+        probeMc(p, src, dst, w, h, half_x || half_y, planes.sharp());
     }
 }
 
@@ -187,10 +210,12 @@ candidateSad(const PelView &src_blk, const PelView &ref, int bx, int by,
 } // namespace
 
 MeResult
-motionSearch(const PelView &src_plane, const PelView &ref, int ref_w,
-             int ref_h, int bx, int by, int w, int h, MotionVector pred,
-             const MeConfig &config)
+motionSearch(const PelView &src_plane, const PelView &ref,
+             const HalfPelPlanes &planes, int bx, int by, int w, int h,
+             MotionVector pred, const MeConfig &config)
 {
+    const int ref_w = planes.width();
+    const int ref_h = planes.height();
     static const uint64_t cmp_site = sitePc("codec.me.better");
     static const uint64_t exit_site = sitePc("codec.me.early_exit");
     Probe *p = currentProbe();
@@ -317,8 +342,8 @@ motionSearch(const PelView &src_plane, const PelView &ref, int ref_w,
                 uint8_t scratch[64 * 64];
                 PelViewMut scratch_view{scratch, w,
                                         ref.vaddr + 0x8000000ULL};
-                motionCompensate(ref, ref_w, ref_h, bx, by, w, h, mv,
-                                 scratch_view, config.sharpSubpel);
+                motionCompensate(ref, planes, bx, by, w, h, mv,
+                                 scratch_view);
                 uint64_t s = sad(src_blk, scratch_view, w, h);
                 ++result.candidates;
                 bool better = s < result.sad;

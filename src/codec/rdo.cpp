@@ -408,12 +408,12 @@ FrameCodec::evalLeaf(const BlockRect &r, int mode_budget)
             mvp, {0, 0}, {mvp.x / 2, mvp.y / 2}, {mvp.y, mvp.x}};
         for (int ref = 0; ref < std::max(1, config_.refFramesSearched);
              ++ref) {
-            MeResult me = motionSearch(src_plane, ref_plane, width_,
-                                       height_, r.x, r.y, r.w, r.h,
-                                       starts[ref & 3], config_.me);
+            MeResult me = motionSearch(src_plane, ref_plane,
+                                       ref_hpel_.plane[0], r.x, r.y, r.w,
+                                       r.h, starts[ref & 3], config_.me);
             stats_.meCandidates += static_cast<uint64_t>(me.candidates);
-            motionCompensate(ref_plane, width_, height_, r.x, r.y, r.w, r.h,
-                             me.mv, pred_view, config_.me.sharpSubpel);
+            motionCompensate(ref_plane, ref_hpel_.plane[0], r.x, r.y, r.w,
+                             r.h, me.mv, pred_view);
             double mode_bits = 1.0 + choiceBits(config_.refFramesSearched) +
                                mvComponentBits(me.mv.x - mvp.x) +
                                mvComponentBits(me.mv.y - mvp.y);
@@ -434,9 +434,8 @@ FrameCodec::evalLeaf(const BlockRect &r, int mode_budget)
         // through smoothing variants and re-cost (AV1 dual-filter style).
         if (best.choice.inter) {
             for (int filt = 1; filt < config_.interpFilterCands; ++filt) {
-                motionCompensate(ref_plane, width_, height_, r.x, r.y, r.w,
-                                 r.h, best.choice.mv, pred_view,
-                                 config_.me.sharpSubpel);
+                motionCompensate(ref_plane, ref_hpel_.plane[0], r.x, r.y,
+                                 r.w, r.h, best.choice.mv, pred_view);
                 smoothPrediction(pred_view, r.w, r.h, filt);
                 double cost = costFast(src_blk, pred_view, r,
                                        2.0 + choiceBits(
@@ -485,9 +484,8 @@ FrameCodec::evalLeaf(const BlockRect &r, int mode_budget)
     if (config_.fullRd) {
         // Rebuild the winning prediction.
         if (best.choice.inter) {
-            motionCompensate(viewOf(ref_.y(), v_ref_), width_, height_, r.x,
-                             r.y, r.w, r.h, best.choice.mv, pred_view,
-                             config_.me.sharpSubpel);
+            motionCompensate(viewOf(ref_.y(), v_ref_), ref_hpel_.plane[0],
+                             r.x, r.y, r.w, r.h, best.choice.mv, pred_view);
         } else {
             predictIntra(best.choice.mode, nb, r.w, r.h, pred_view);
         }
@@ -689,9 +687,8 @@ FrameCodec::commitLeaf(const BlockRect &r, const LeafChoice &choice)
 
     // Prediction with final neighbours.
     if (choice.inter) {
-        motionCompensate(viewOf(ref_.y(), v_ref_), width_, height_, r.x, r.y,
-                         r.w, r.h, choice.mv, pred_view,
-                         config_.me.sharpSubpel);
+        motionCompensate(viewOf(ref_.y(), v_ref_), ref_hpel_.plane[0], r.x,
+                         r.y, r.w, r.h, choice.mv, pred_view);
         MotionVector mvp = mvPredictor(r);
         if (!keyframe_) {
             rc_->encodeBit(ctx_.interFlag[0], true, 16);
@@ -785,9 +782,9 @@ FrameCodec::commitChroma(const BlockRect &r, const LeafChoice &choice)
 
         if (choice.inter) {
             MotionVector half{choice.mv.x / 2, choice.mv.y / 2};
-            motionCompensate(viewOf(*ref_planes[plane], v_ref_ + voff), cw,
-                             ch, c.x, c.y, c.w, c.h, half, pred_view,
-                             config_.me.sharpSubpel);
+            motionCompensate(viewOf(*ref_planes[plane], v_ref_ + voff),
+                             ref_hpel_.plane[1 + plane], c.x, c.y, c.w,
+                             c.h, half, pred_view);
         } else {
             IntraNeighbors nb =
                 gatherNeighbors(recon_plane, c.x, c.y, c.w, c.h, cw, ch);
@@ -907,6 +904,7 @@ FrameCodec::endFrame()
     // Reference update: copy recon into the reference slot (real encoders
     // swap buffers; the copy models the same traffic conservatively).
     ref_ = recon_;
+    ref_hpel_.build(ref_, width_, height_, config_.me.sharpSubpel);
     has_ref_ = true;
     if (Probe *p = currentProbe()) {
         static const uint64_t site = sitePc("codec.refcopy");

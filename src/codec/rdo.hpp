@@ -297,6 +297,7 @@ class FrameCodec
 
     video::Frame recon_;
     video::Frame ref_;
+    RefFramePlanes ref_hpel_;  ///< Half-pel planes of ref_.
     bool has_ref_ = false;
     bool keyframe_ = true;
 

@@ -35,15 +35,13 @@ probeRowKernel(Probe *p, uint64_t site, const PelView &a, const PelView &b,
     int chunks_per_row = std::max(1, w / 32);
     if (h >= 0 && alu_per_chunk >= 0) {
         const uint64_t chunks = static_cast<uint64_t>(h) * chunks_per_row;
-        trace::MixCounters body;
-        body.byClass[static_cast<int>(OpClass::SimdLoad)] = 2 * chunks;
-        body.byClass[static_cast<int>(OpClass::SimdAlu)] =
-            chunks * static_cast<uint64_t>(alu_per_chunk);
-        body.byClass[static_cast<int>(OpClass::Alu)] =
-            2 * static_cast<uint64_t>(h / 4) + 2;
-        body.byClass[static_cast<int>(OpClass::BranchCond)] =
-            static_cast<uint64_t>((h + 7) / 8);
-        body.byClass[static_cast<int>(OpClass::SseAlu)] = 2;
+        trace::KernelCharge body;
+        body.add(OpClass::SimdLoad, 2 * chunks)
+            .add(OpClass::SimdAlu,
+                 chunks * static_cast<uint64_t>(alu_per_chunk))
+            .add(OpClass::Alu, 2 * static_cast<uint64_t>(h / 4) + 2)
+            .add(OpClass::BranchCond, static_cast<uint64_t>((h + 7) / 8))
+            .add(OpClass::SseAlu, 2);
         if (p->quietKernel(site, 8, body)) {
             return;
         }

@@ -76,17 +76,13 @@ probeTransform(Probe *p, uint64_t site, int n, uint64_t src_vaddr,
     if (n >= 0) {
         const uint64_t rows = 2 * static_cast<uint64_t>(n);  // both passes
         const uint64_t vecs = static_cast<uint64_t>(vec_per_row);
-        trace::MixCounters body;
-        body.byClass[static_cast<int>(OpClass::SimdLoad)] = rows * vecs;
-        body.byClass[static_cast<int>(OpClass::SimdStore)] = rows * vecs;
-        body.byClass[static_cast<int>(OpClass::SimdMul)] =
-            rows * stages * vecs;
-        body.byClass[static_cast<int>(OpClass::SimdAlu)] =
-            rows * (stages * 2 * vecs + 2);
-        body.byClass[static_cast<int>(OpClass::Alu)] =
-            2 * 2 * static_cast<uint64_t>(n / 4);
-        body.byClass[static_cast<int>(OpClass::BranchCond)] =
-            2 * static_cast<uint64_t>((n + 3) / 4);
+        trace::KernelCharge body;
+        body.add(OpClass::SimdLoad, rows * vecs)
+            .add(OpClass::SimdStore, rows * vecs)
+            .add(OpClass::SimdMul, rows * stages * vecs)
+            .add(OpClass::SimdAlu, rows * (stages * 2 * vecs + 2))
+            .add(OpClass::Alu, 2 * 2 * static_cast<uint64_t>(n / 4))
+            .add(OpClass::BranchCond, 2 * static_cast<uint64_t>((n + 3) / 4));
         if (p->quietKernel(site, 24, body)) {
             return;
         }

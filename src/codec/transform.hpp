@@ -5,11 +5,13 @@
  * @file
  * Integer block transforms (DCT-II) for sizes 4/8/16/32.
  *
- * Transforms use fixed-point basis matrices (7 fractional bits) computed
- * once at start-up, applied as two matrix multiplies, matching the
- * structure of the transforms in AV1/HEVC. The forward/inverse pair is
- * exactly invertible up to the documented rounding error (< 1 LSB of
- * residual after quantisation round-trip at Q=1).
+ * Transforms use fixed-point basis matrices (10 fractional bits)
+ * computed once at start-up. The result is defined as two matrix
+ * multiplies with exact int64 sums; the kernels compute it as partial
+ * butterflies, the structure of the transforms in AV1/HEVC. The
+ * forward/inverse pair is exactly invertible up to the documented
+ * rounding error (< 1 LSB of residual after quantisation round-trip at
+ * Q=1).
  */
 
 #include <cstdint>

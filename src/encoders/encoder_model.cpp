@@ -70,10 +70,11 @@ lookaheadPass(const video::Frame &cur, const video::Frame &prev,
     codec::MeConfig me;
     me.range = 8;
     me.subpel = false;
+    const codec::HalfPelPlanes half_geometry(hw, hh);
     for (int by = 0; by + 16 <= hh; by += 16) {
         for (int bx = 0; bx + 16 <= hw; bx += 16) {
-            codec::motionSearch(cur_view, prev_view, hw, hh, bx, by, 16, 16,
-                                {}, me);
+            codec::motionSearch(cur_view, prev_view, half_geometry, bx, by,
+                                16, 16, {}, me);
         }
     }
 
@@ -86,10 +87,11 @@ lookaheadPass(const video::Frame &cur, const video::Frame &prev,
         fme.range = 10;
         fme.subpel = false;
         const int fw = cur.width(), fh = cur.height();
+        const codec::HalfPelPlanes full_geometry(fw, fh);
         for (int by = 0; by + 8 <= fh; by += 8) {
             for (int bx = 0; bx + 8 <= fw; bx += 8) {
-                codec::motionSearch(full_cur, full_prev, fw, fh, bx, by, 8,
-                                    8, {}, fme);
+                codec::motionSearch(full_cur, full_prev, full_geometry, bx,
+                                    by, 8, 8, {}, fme);
                 codec::satd(full_cur.sub(bx, by), full_prev.sub(bx, by), 8,
                             8);
             }

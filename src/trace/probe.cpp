@@ -100,6 +100,11 @@ Probe::Probe(const ProbeConfig &config) : config_(config)
 uint64_t
 Probe::advance(uint64_t n)
 {
+    // Fold in the ops charged on the quiet path since the last
+    // setQuiet() (see quiet_start_).
+    const uint64_t quiet_ops = quiet_start_ - quiet_;
+    opSeq_ += quiet_ops;
+    interval_pos_ += quiet_ops;
     if (dropping_) {
         dropped_ops_ += opSeq_ - drop_mark_;
         dropping_ = false;
@@ -254,6 +259,7 @@ Probe::setQuiet(uint64_t budget)
     } else {
         quiet_ = budget + (quiet_fault_ ? 1 : 0);
     }
+    quiet_start_ = quiet_;
 }
 
 void
@@ -276,7 +282,7 @@ Probe::enterKernelSlow(uint64_t site, int body_len)
     // Real encoders specialise each kernel by block size / unroll factor;
     // spread invocations over eight code variants so the instruction
     // footprint matches a few hundred KB of hot code, not a toy loop.
-    siteBase_ = site + ((opSeq_ >> 6) & 7) * 1024;
+    siteBase_ = site + ((totalOps() >> 6) & 7) * 1024;
     siteBodyLen_ = std::max(1, body_len);
     sitePos_ = 0;
 
@@ -400,12 +406,12 @@ emitControl(Probe &probe, uint64_t site, int units, uint64_t hot_addr,
 {
     if (units >= 0) {
         const uint64_t n = static_cast<uint64_t>(units);
-        MixCounters body;
-        body.byClass[static_cast<int>(OpClass::Load)] = 4 * n;
-        body.byClass[static_cast<int>(OpClass::Alu)] = n;
-        body.byClass[static_cast<int>(OpClass::Other)] = n / 2;
-        body.byClass[static_cast<int>(OpClass::Store)] = 2 * n;
-        body.byClass[static_cast<int>(OpClass::BranchCond)] = (n + 3) / 4;
+        KernelCharge body;
+        body.add(OpClass::Load, 4 * n)
+            .add(OpClass::Alu, n)
+            .add(OpClass::Other, n / 2)
+            .add(OpClass::Store, 2 * n)
+            .add(OpClass::BranchCond, (n + 3) / 4);
         if (probe.quietKernel(site, 20, body)) {
             return;
         }

@@ -80,6 +80,34 @@ struct MixCounters {
     }
 };
 
+/**
+ * The op counts of one kernel invocation, for Probe::quietKernel: a few
+ * (class, count) pairs and their precomputed total, so a fully quiet
+ * kernel costs one budget test and one add per class it uses.
+ */
+struct KernelCharge {
+    static constexpr int kMaxClasses = 6;
+
+    std::array<OpClass, kMaxClasses> cls{};
+    std::array<uint64_t, kMaxClasses> count{};
+    int size = 0;
+    uint64_t total = 0;
+    /** Some BranchCond count is non-zero (the branch trace sees it). */
+    bool branches = false;
+
+    /** Append @p n ops of class @p c; at most kMaxClasses pairs. */
+    KernelCharge &
+    add(OpClass c, uint64_t n)
+    {
+        cls[size] = c;
+        count[size] = n;
+        ++size;
+        total += n;
+        branches |= c == OpClass::BranchCond && n != 0;
+        return *this;
+    }
+};
+
 /** Probe configuration: what to collect and how much. */
 struct ProbeConfig {
     /** Collect the full-op trace for the core model. */
@@ -248,19 +276,17 @@ class Probe
      * identical either way.
      */
     bool
-    quietKernel(uint64_t site, int body_len, const MixCounters &body)
+    quietKernel(uint64_t site, int body_len, const KernelCharge &body)
     {
-        const uint64_t n = body.total();
-        if (kKernelEntryOps + n >= quiet_ ||
-            (config_.collectBranches &&
-             body.byClass[static_cast<int>(OpClass::BranchCond)] != 0)) {
+        if (kKernelEntryOps + body.total >= quiet_ ||
+            (config_.collectBranches && body.branches)) {
             return false;
         }
         enterKernelQuiet(site, body_len);
-        mix_ += body;
-        opSeq_ += n;
-        interval_pos_ += n;
-        quiet_ -= n;
+        for (int i = 0; i < body.size; ++i) {
+            mix_.byClass[static_cast<int>(body.cls[i])] += body.count[i];
+        }
+        quiet_ -= body.total;
         return true;
     }
 
@@ -276,7 +302,9 @@ class Probe
     // -- Results ----------------------------------------------------------
 
     const MixCounters &mix() const { return mix_; }
-    uint64_t totalOps() const { return opSeq_; }
+    /** Dynamic ops so far: the count as of the last advance() plus the
+     *  quiet budget used since (see quiet_start_). */
+    uint64_t totalOps() const { return opSeq_ + (quiet_start_ - quiet_); }
 
     /** Ops recorded so far (delivered or staged for the sink). */
     uint64_t recordedOps() const { return ops_recorded_; }
@@ -291,7 +319,7 @@ class Probe
     uint64_t
     droppedOps() const
     {
-        return dropped_ops_ + (dropping_ ? opSeq_ - drop_mark_ : 0);
+        return dropped_ops_ + (dropping_ ? totalOps() - drop_mark_ : 0);
     }
     /** Branches lost to the maxBranches cap (see droppedOps()). */
     uint64_t droppedBranches() const { return dropped_branches_; }
@@ -342,22 +370,21 @@ class Probe
     /** Ops one enterKernel call accounts for (call, return, preamble). */
     static constexpr uint64_t kKernelEntryOps = 4;
 
-    /** Advance the op counter; returns how many of the @p n ops fall in
-     *  the current sampling window and under the cap (0 when op tracing
-     *  is off). Cap-truncated in-window ops are counted as dropped.
-     *  Recomputes the quiet budget (see quiet_) for the ops that follow. */
+    /** Advance the op counter past the quiet ops charged since the last
+     *  setQuiet() and then @p n more; returns how many of the @p n ops
+     *  fall in the current sampling window and under the cap (0 when op
+     *  tracing is off). Cap-truncated in-window ops are counted as
+     *  dropped. Recomputes the quiet budget (see quiet_) for the ops
+     *  that follow. */
     uint64_t advance(uint64_t n);
     /** Set quiet_ to @p budget, or to 0 under site profiling. */
     void setQuiet(uint64_t budget);
-
     /** The fast path of every emission call: @p n ops of class @p cls,
      *  none recorded, none profiled, no interval boundary crossed. */
     void
     chargeQuiet(OpClass cls, uint64_t n)
     {
         mix_.byClass[static_cast<int>(cls)] += n;
-        opSeq_ += n;
-        interval_pos_ += n;
         quiet_ -= n;
     }
 
@@ -370,13 +397,11 @@ class Probe
             pending_site_ = site;
             pending_site_valid_ = true;
         }
-        siteBase_ = site + ((opSeq_ >> 6) & 7) * 1024;
+        siteBase_ = site + ((totalOps() >> 6) & 7) * 1024;
         siteBodyLen_ = body_len > 1 ? body_len : 1;
         sitePos_ = 0;
         mix_.byClass[static_cast<int>(OpClass::BranchUncond)] += 2;
         mix_.byClass[static_cast<int>(OpClass::Other)] += 2;
-        opSeq_ += kKernelEntryOps;
-        interval_pos_ += kKernelEntryOps;
         quiet_ -= kKernelEntryOps;
     }
 
@@ -411,24 +436,29 @@ class Probe
 
     ProbeConfig config_{};
     MixCounters mix_{};
+    /** Dynamic ops as of the last advance(); totalOps() adds the quiet
+     *  budget used since. */
     uint64_t opSeq_ = 0;
-    /** opSeq_ % config_.opInterval, maintained by wrap-on-compare so the
-     *  emission hot path never divides. */
+    /** opSeq_ % config_.opInterval as of the last advance(), maintained
+     *  by wrap-on-compare so the emission hot path never divides. */
     uint64_t interval_pos_ = 0;
     /**
      * Quiet budget: a call of n < quiet_ ops records nothing, drops
      * nothing beyond the dropping stretch below, profiles nothing and
-     * crosses no interval boundary, so it only bumps the mix and the op
-     * counters (the inline fast paths). Set at the end of advance():
-     * the rest of the interval outside the window (or with op tracing
-     * off), the rest of the window once the maxOps cap is full, and 0
-     * whenever ops could be recorded or sites are profiled.
+     * crosses no interval boundary, so it only bumps the mix and
+     * quiet_ itself (the inline fast paths). Set at the end of
+     * advance(): the rest of the interval outside the window (or with
+     * op tracing off), the rest of the window once the maxOps cap is
+     * full, and 0 whenever ops could be recorded or sites are profiled.
      */
     uint64_t quiet_ = 0;
-    /** A dropping stretch is open: every op since opSeq_ == drop_mark_
-     *  fell in the window with the cap full, and is credited to
-     *  dropped_ops_ as one opSeq_ delta (at the next slow call, or on
-     *  read by droppedOps()). */
+    /** quiet_ as of the last setQuiet(): quiet_start_ - quiet_ ops have
+     *  run on the fast path since, not yet in opSeq_. */
+    uint64_t quiet_start_ = 0;
+    /** A dropping stretch is open: every op since totalOps() ==
+     *  drop_mark_ fell in the window with the cap full, and is credited
+     *  to dropped_ops_ as one op-count delta (at the next slow call, or
+     *  on read by droppedOps()). */
     bool dropping_ = false;
     uint64_t drop_mark_ = 0;
     bool quiet_fault_ = false;  ///< See injectQuietFault().

@@ -60,7 +60,8 @@ TEST(CheckNames, FaultNamesRoundTrip)
                             Fault::KernelsSad,     Fault::StoreBit,
                             Fault::ParallelDrop,   Fault::BackendEnergy,
                             Fault::TraceFileDelta, Fault::LadderHull,
-                            Fault::ProbeQuiet};
+                            Fault::ProbeQuiet,     Fault::HpelEdge,
+                            Fault::DctOdd};
     for (Fault f : faults) {
         Fault back = Fault::None;
         ASSERT_TRUE(parseFault(faultName(f), back)) << faultName(f);
@@ -117,6 +118,8 @@ TEST(CheckInjection, EveryFaultIsCaught)
         {Fault::TraceFileDelta, Target::TraceFile},
         {Fault::LadderHull, Target::Ladder},
         {Fault::ProbeQuiet, Target::Probe},
+        {Fault::HpelEdge, Target::Kernels},
+        {Fault::DctOdd, Target::Kernels},
     };
     for (const FaultCase &fc : cases) {
         SCOPED_TRACE(faultName(fc.fault));

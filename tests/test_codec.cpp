@@ -510,8 +510,8 @@ TEST(Mc, FullPelCopy)
     video::Plane ref(64, 64);
     fillRandom(ref, 9);
     video::Plane out(16, 16);
-    motionCompensate(viewOf(ref, 0), 64, 64, 16, 16, 16, 16, {8, -4},
-                     viewOf(out, 0));
+    motionCompensate(viewOf(ref, 0), HalfPelPlanes(64, 64), 16, 16, 16, 16,
+                     {8, -4}, viewOf(out, 0));
     for (int y = 0; y < 16; ++y) {
         for (int x = 0; x < 16; ++x) {
             EXPECT_EQ(out.at(x, y), ref.at(16 + 4 + x, 16 - 2 + y));
@@ -528,7 +528,9 @@ TEST(Mc, HalfPelAverages)
         }
     }
     video::Plane out(8, 8);
-    motionCompensate(viewOf(ref, 0), 32, 32, 8, 8, 8, 8, {1, 0},
+    HalfPelPlanes planes;
+    planes.build(viewOf(ref, 0), 32, 32, false);
+    motionCompensate(viewOf(ref, 0), planes, 8, 8, 8, 8, {1, 0},
                      viewOf(out, 0));
     // Half-pel in x: average of columns 8 and 9 -> 34.
     EXPECT_EQ(out.at(0, 0), 34);
@@ -554,8 +556,8 @@ TEST(Mc, SearchFindsExactTranslation)
     MeConfig me;
     me.range = 8;
     me.subpel = false;
-    MeResult r = motionSearch(viewOf(src, 0), viewOf(ref, 0), 64, 64, 24, 24,
-                              16, 16, {}, me);
+    MeResult r = motionSearch(viewOf(src, 0), viewOf(ref, 0),
+                              HalfPelPlanes(64, 64), 24, 24, 16, 16, {}, me);
     EXPECT_EQ(r.mv.x, 6);   // half-pel units
     EXPECT_EQ(r.mv.y, -4);
     EXPECT_EQ(r.sad, 0u);
@@ -572,9 +574,10 @@ TEST(Mc, ExhaustiveMatchesDiamondOrBetter)
     diamond.subpel = false;
     MeConfig exhaustive = diamond;
     exhaustive.exhaustive = true;
-    MeResult d = motionSearch(viewOf(src, 0), viewOf(ref, 0), 64, 64, 24, 24,
+    const HalfPelPlanes planes(64, 64);
+    MeResult d = motionSearch(viewOf(src, 0), viewOf(ref, 0), planes, 24, 24,
                               16, 16, {}, diamond);
-    MeResult e = motionSearch(viewOf(src, 0), viewOf(ref, 0), 64, 64, 24, 24,
+    MeResult e = motionSearch(viewOf(src, 0), viewOf(ref, 0), planes, 24, 24,
                               16, 16, {}, exhaustive);
     EXPECT_LE(e.sad, d.sad);
     EXPECT_GT(e.candidates, d.candidates);
@@ -590,9 +593,11 @@ TEST(Mc, EarlyExitStopsSearch)
     me.earlyExitPerPel = 5.0;  // perfect match triggers immediately
     MeConfig no_exit = me;
     no_exit.earlyExitPerPel = 0.0;
-    MeResult fast = motionSearch(viewOf(src, 0), viewOf(ref, 0), 64, 64, 24,
+    HalfPelPlanes planes;
+    planes.build(viewOf(ref, 0), 64, 64, false);
+    MeResult fast = motionSearch(viewOf(src, 0), viewOf(ref, 0), planes, 24,
                                  24, 16, 16, {}, me);
-    MeResult full = motionSearch(viewOf(src, 0), viewOf(ref, 0), 64, 64, 24,
+    MeResult full = motionSearch(viewOf(src, 0), viewOf(ref, 0), planes, 24,
                                  24, 16, 16, {}, no_exit);
     EXPECT_LE(fast.candidates, full.candidates);
     EXPECT_EQ(fast.sad, 0u);

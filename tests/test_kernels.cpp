@@ -18,15 +18,19 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <climits>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "check/oracle.hpp"
 #include "codec/kernels.hpp"
 #include "codec/mc.hpp"
 #include "codec/quant.hpp"
 #include "codec/transform.hpp"
+#include "video/frame.hpp"
 
 namespace vepro::codec
 {
@@ -196,6 +200,64 @@ TEST_P(TransformKernels, FdctIdctBitIdenticalToScalar)
     }
 }
 
+TEST_P(TransformKernels, ButterfliesEqualTheMatrixProduct)
+{
+    // Every table, the scalar one included, against the matrix form:
+    // full-range int16 residuals, and coefficients on both sides of the
+    // vector inverse's 2^26 exactness limit (INT32_MIN included).
+    auto [n, seed] = GetParam();
+    std::mt19937 rng(seed * 7919 + n);
+    const int32_t *basis = dctBasis(n);
+    const size_t count = static_cast<size_t>(n) * n;
+    std::vector<const KernelTable *> tables = tablesUnderTest();
+    tables.push_back(&scalarKernels());
+
+    std::vector<int16_t> src(count);
+    std::uniform_int_distribution<int> r16(-32768, 32767);
+    for (int16_t &x : src) {
+        x = static_cast<int16_t>(r16(rng));
+    }
+    std::vector<int32_t> fwd_want(count);
+    check::refFdct(src.data(), fwd_want.data(), n, basis);
+
+    std::vector<std::vector<int32_t>> coeffs(3, std::vector<int32_t>(count));
+    std::uniform_int_distribution<int32_t> r26(-(1 << 26) + 1, (1 << 26) - 1);
+    std::uniform_int_distribution<int32_t> r31(INT32_MIN, INT32_MAX);
+    for (size_t i = 0; i < count; ++i) {
+        coeffs[0][i] = r26(rng);
+        coeffs[1][i] = i == 0 ? INT32_MIN : r31(rng) / 64;
+        coeffs[2][i] = fwd_want[i];
+    }
+    for (const KernelTable *t : tables) {
+        SCOPED_TRACE(std::string("isa=") + t->isa);
+        std::vector<int32_t> fwd(count);
+        t->fdct(src.data(), fwd.data(), n, basis);
+        EXPECT_EQ(fwd, fwd_want);
+        for (const std::vector<int32_t> &in : coeffs) {
+            std::vector<int16_t> want(count), got(count);
+            check::refIdct(in.data(), want.data(), n, basis);
+            t->idct(in.data(), got.data(), n, basis);
+            EXPECT_EQ(got, want);
+        }
+    }
+}
+
+TEST(TransformBasis, KeepsTheDctSignSymmetry)
+{
+    // The butterflies rely on T[k][n-1-i] == (-1)^k T[k][i] holding
+    // exactly in the rounded integer basis.
+    for (int n : {4, 8, 16, 32}) {
+        const int32_t *t = dctBasis(n);
+        for (int k = 0; k < n; ++k) {
+            for (int i = 0; i < n; ++i) {
+                ASSERT_EQ(t[k * n + n - 1 - i],
+                          (k & 1) ? -t[k * n + i] : t[k * n + i])
+                    << "n=" << n << " k=" << k << " i=" << i;
+            }
+        }
+    }
+}
+
 TEST_P(TransformKernels, QuantDequantBitIdenticalToScalar)
 {
     auto [n, seed] = GetParam();
@@ -252,72 +314,57 @@ class McKernels : public ::testing::TestWithParam<McCase>
 {
 };
 
-TEST_P(McKernels, BitIdenticalToScalarAtEveryPhase)
+TEST_P(McKernels, PhasePlanesMatchTheClampedReference)
 {
-    // Both filters, all three half-pel phases, against the scalar table. The
-    // source carries the filter margin (one pel before, two after, on
-    // both axes) and a padded stride; extreme pels drive the sharp
+    // Both filters, all three half-pel phases, every pel of the plane
+    // (so every edge position) against the per-pel clamped formula. The
+    // source has a padded stride, and extreme pels drive the sharp
     // filter's clamp from both sides.
     auto [w, h, seed] = GetParam();
     std::mt19937 rng(seed * 104729 + w * 64 + h);
     std::uniform_int_distribution<int> pix(0, 255);
     std::uniform_int_distribution<int> coin(0, 3);
-    const int stride = w + 3 + static_cast<int>(rng() % 13);
-    std::vector<uint8_t> src(static_cast<size_t>(stride) * (h + 3));
-    for (uint8_t &x : src) {
-        const int c = coin(rng);
-        x = static_cast<uint8_t>(c == 0 ? 0 : c == 1 ? 255 : pix(rng));
+    video::Plane ref(w + static_cast<int>(rng() % 13), h);
+    for (int y = 0; y < h; ++y) {
+        for (int x = 0; x < ref.width(); ++x) {
+            const int c = coin(rng);
+            ref.set(x, y, static_cast<uint8_t>(c == 0 ? 0 : c == 1 ? 255
+                                                               : pix(rng)));
+        }
     }
-    const uint8_t *origin = src.data() + stride + 1;
-    const int dst_stride = w + 5;
-    const size_t dst_size = static_cast<size_t>(dst_stride) * h;
-    const KernelTable &scalar = scalarKernels();
-    for (const KernelTable *t : tablesUnderTest()) {
-        SCOPED_TRACE(std::string("isa=") + t->isa);
+    for (bool sharp : {false, true}) {
+        HalfPelPlanes planes;
+        planes.build(viewOf(ref, 0), w, h, sharp);
         for (int phase = 1; phase < 4; ++phase) {
             const int hx = phase & 1;
             const int hy = phase >> 1;
-            SCOPED_TRACE("half_x=" + std::to_string(hx) +
-                         " half_y=" + std::to_string(hy));
-            for (auto fn : {&KernelTable::mcBilinear, &KernelTable::mcSharp}) {
-                // Guard bytes beyond each row must survive untouched.
-                std::vector<uint8_t> want(dst_size, 0xA5), got(dst_size, 0xA5);
-                (scalar.*fn)(origin, stride, w, h, hx, hy, want.data(),
-                             dst_stride);
-                (t->*fn)(origin, stride, w, h, hx, hy, got.data(),
-                         dst_stride);
-                EXPECT_EQ(want, got)
-                    << (fn == &KernelTable::mcSharp ? "sharp" : "bilinear");
+            const uint8_t *got = planes.phase(hx, hy);
+            for (int y = 0; y < h; ++y) {
+                for (int x = 0; x < w; ++x) {
+                    ASSERT_EQ(got[y * w + x],
+                              check::refHalfPel(ref.data(), ref.stride(), w,
+                                                h, x, y, hx, hy, sharp))
+                        << (sharp ? "sharp" : "bilinear") << " half_x=" << hx
+                        << " half_y=" << hy << " pel (" << x << "," << y
+                        << ")";
+                }
             }
         }
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    BlockSizes, McKernels,
+    PlaneSizes, McKernels,
     ::testing::Combine(::testing::Values(4, 5, 8, 12, 16, 24, 31, 32, 48, 64),
                        ::testing::Values(4, 7, 8, 16, 32, 64),
                        ::testing::Values(1u, 2u)));
 
-/** Per-pel 4-tap filter with every tap clamped into the plane. */
-uint8_t
-clampedTap(const video::Plane &p, int x0, int y0, int dx, int dy)
-{
-    auto at = [&](int x, int y) {
-        return static_cast<int>(p.at(std::clamp(x, 0, p.width() - 1),
-                                     std::clamp(y, 0, p.height() - 1)));
-    };
-    int v = (-at(x0 - dx, y0 - dy) + 5 * at(x0, y0) + 5 * at(x0 + dx, y0 + dy) -
-             at(x0 + 2 * dx, y0 + 2 * dy) + 4) >>
-            3;
-    return static_cast<uint8_t>(std::clamp(v, 0, 255));
-}
-
 TEST(McEdges, MotionCompensateMatchesTheClampedReference)
 {
     // Every block position of a small plane, vectors pointing past all
-    // four borders: interior blocks take the kernel table, edge blocks
-    // the clamped fallback, and both must equal the per-pel reference.
+    // four borders: blocks near the edges read phase-plane samples whose
+    // taps were replicated, and every block must equal the per-pel
+    // reference.
     constexpr int kW = 40, kH = 36;
     video::Plane ref(kW, kH, 7);
     std::mt19937 rng(5);
@@ -327,6 +374,9 @@ TEST(McEdges, MotionCompensateMatchesTheClampedReference)
         }
     }
     const PelView view = viewOf(ref, 0);
+    HalfPelPlanes planes[2];
+    planes[0].build(view, kW, kH, false);
+    planes[1].build(view, kW, kH, true);
     int edge_blocks = 0;
     for (int bs : {4, 8, 16}) {
         for (int by = 0; by + bs <= kH; by += 4) {
@@ -340,28 +390,17 @@ TEST(McEdges, MotionCompensateMatchesTheClampedReference)
                                    fy + bs + 2 > kH;
                     for (bool sharp : {false, true}) {
                         uint8_t out[16 * 16];
-                        motionCompensate(view, kW, kH, bx, by, bs, bs, mv,
-                                         {out, bs, 0}, sharp);
+                        motionCompensate(view, planes[sharp], bx, by, bs, bs,
+                                         mv, {out, bs, 0});
                         for (int y = 0; y < bs; ++y) {
                             for (int x = 0; x < bs; ++x) {
                                 const int px = fx + x, py = fy + y;
-                                int want;
-                                if (!hx && !hy) {
-                                    want = ref.at(px, py);
-                                } else if (!sharp) {
-                                    want = (ref.at(px, py) +
-                                            ref.at(px + hx, py) +
-                                            ref.at(px, py + hy) +
-                                            ref.at(px + hx, py + hy) + 2) >>
-                                           2;
-                                } else if (hx && hy) {
-                                    want = (clampedTap(ref, px, py, 1, 0) +
-                                            clampedTap(ref, px, py + 1, 1, 0) +
-                                            1) >>
-                                           1;
-                                } else {
-                                    want = clampedTap(ref, px, py, hx, hy);
-                                }
+                                const int want =
+                                    !hx && !hy
+                                        ? ref.at(px, py)
+                                        : check::refHalfPel(
+                                              ref.data(), ref.stride(), kW,
+                                              kH, px, py, hx, hy, sharp);
                                 ASSERT_EQ(out[y * bs + x], want)
                                     << "block " << bs << " at (" << bx << ","
                                     << by << ") mv (" << mv.x << "," << mv.y
@@ -375,6 +414,12 @@ TEST(McEdges, MotionCompensateMatchesTheClampedReference)
         }
     }
     EXPECT_GT(edge_blocks, 100) << "the sweep must reach the plane edges";
+}
+
+TEST(McEdges, PhasePlanesNeedABuild)
+{
+    const HalfPelPlanes geometry(32, 32);
+    EXPECT_THROW(geometry.phase(true, false), std::logic_error);
 }
 
 TEST(KernelDispatch, ResolvesToKnownIsa)
@@ -405,8 +450,6 @@ TEST(KernelDispatch, AllEntriesPopulated)
         EXPECT_NE(t->dequant, nullptr);
         EXPECT_NE(t->boxdown, nullptr);
         EXPECT_NE(t->lerpblend, nullptr);
-        EXPECT_NE(t->mcBilinear, nullptr);
-        EXPECT_NE(t->mcSharp, nullptr);
     }
 }
 

@@ -265,10 +265,13 @@ TEST_P(McProperty, SharpAndBilinearAgreeAtFullPel)
     }
     video::Plane a(16, 16), b(16, 16);
     codec::MotionVector mv{6, -4};  // full-pel (even half-pel units)
-    codec::motionCompensate(codec::viewOf(ref, 0), 64, 64, 24, 24, 16, 16,
-                            mv, codec::viewOf(a, 0), false);
-    codec::motionCompensate(codec::viewOf(ref, 0), 64, 64, 24, 24, 16, 16,
-                            mv, codec::viewOf(b, 0), true);
+    codec::HalfPelPlanes bilinear, sharp;
+    bilinear.build(codec::viewOf(ref, 0), 64, 64, false);
+    sharp.build(codec::viewOf(ref, 0), 64, 64, true);
+    codec::motionCompensate(codec::viewOf(ref, 0), bilinear, 24, 24, 16, 16,
+                            mv, codec::viewOf(a, 0));
+    codec::motionCompensate(codec::viewOf(ref, 0), sharp, 24, 24, 16, 16,
+                            mv, codec::viewOf(b, 0));
     EXPECT_DOUBLE_EQ(video::mse(a, b), 0.0);
 }
 

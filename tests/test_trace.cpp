@@ -369,6 +369,68 @@ TEST(Probe, DroppedOpsCountsAnOpenDroppingStretch)
     EXPECT_EQ(c.probe.totalOps(), 925u);
 }
 
+TEST(Probe, CountersReadInsideAQuietStretch)
+{
+    // The quiet path moves only the mix and the budget; totalOps(),
+    // droppedOps() and mix() derive the rest. Read them after every step
+    // of a stretch that mixes per-call and whole-kernel charges.
+    ProbeConfig cfg;
+    cfg.collectOps = true;
+    cfg.opWindow = 100;
+    cfg.opInterval = 1000;
+    cfg.maxOps = 10;
+    Collected c(cfg);
+    auto mix = [&](OpClass cls) {
+        return c.probe.mix().byClass[static_cast<int>(cls)];
+    };
+    c.probe.ops(OpClass::Alu, 10);  // fills the cap
+    c.probe.ops(OpClass::Load, 5);  // opens a dropping stretch at op 15
+    EXPECT_EQ(c.probe.droppedOps(), 5u);
+    for (int i = 1; i <= 3; ++i) {
+        c.probe.mem(OpClass::Store, 0x1000);
+        EXPECT_EQ(c.probe.totalOps(), 15u + i);
+        EXPECT_EQ(c.probe.droppedOps(), 5u + i);
+        EXPECT_EQ(mix(OpClass::Store), static_cast<uint64_t>(i));
+    }
+    c.probe.enterKernel(sitePc("test.quiet.kernel"), 8);
+    EXPECT_EQ(c.probe.totalOps(), 22u);
+    EXPECT_EQ(c.probe.droppedOps(), 12u);
+    EXPECT_EQ(mix(OpClass::BranchUncond), 2u);
+    EXPECT_EQ(mix(OpClass::Other), 2u);
+
+    KernelCharge body;
+    body.add(OpClass::SimdLoad, 20)
+        .add(OpClass::SimdAlu, 30)
+        .add(OpClass::BranchCond, 5);
+    ASSERT_TRUE(c.probe.quietKernel(sitePc("test.quiet.bulk"), 8, body));
+    EXPECT_EQ(c.probe.totalOps(), 81u);
+    EXPECT_EQ(c.probe.droppedOps(), 71u);
+    EXPECT_EQ(mix(OpClass::BranchUncond), 4u);
+    EXPECT_EQ(mix(OpClass::Other), 4u);
+    EXPECT_EQ(mix(OpClass::SimdLoad), 20u);
+    EXPECT_EQ(mix(OpClass::SimdAlu), 30u);
+    EXPECT_EQ(mix(OpClass::BranchCond), 5u);
+
+    c.probe.ops(OpClass::Alu, 18);  // the last op before the window ends
+    EXPECT_EQ(c.probe.totalOps(), 99u);
+    EXPECT_EQ(c.probe.droppedOps(), 89u);
+    c.probe.ops(OpClass::Alu, 1);  // slow path: closes the stretch
+    EXPECT_EQ(c.probe.totalOps(), 100u);
+    EXPECT_EQ(c.probe.droppedOps(), 90u);
+    c.probe.ops(OpClass::Alu, 500);  // quiet gap: nothing dropped
+    EXPECT_EQ(c.probe.totalOps(), 600u);
+    EXPECT_EQ(c.probe.droppedOps(), 90u);
+    EXPECT_EQ(mix(OpClass::Alu), 529u);
+    EXPECT_EQ(c.probe.mix().total(), 600u);
+
+    // A kernel that would run past the gap charges nothing.
+    KernelCharge big;
+    big.add(OpClass::SimdAlu, 400);
+    EXPECT_FALSE(c.probe.quietKernel(sitePc("test.quiet.bulk"), 8, big));
+    EXPECT_EQ(c.probe.totalOps(), 600u);
+    EXPECT_EQ(c.probe.recordedOps(), 10u);
+}
+
 TEST(Probe, SamplingQuirksArePinned)
 {
     // Two long-standing rules of the sampled accounting that decide which
