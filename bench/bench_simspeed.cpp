@@ -47,16 +47,20 @@
  */
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "bpred/runner.hpp"
+#include "core/experiment.hpp"
 #include "lab/json.hpp"
 #include "trace/pipeline.hpp"
 #include "trace/probe.hpp"
@@ -205,41 +209,83 @@ struct Options {
     int warmup = 8;     ///< Segment warmup blocks.
 };
 
+/** A strict non-negative decimal for --tolerance: "abc", "0.3x",
+ *  "nan" and negatives are errors, not silent zeros or aborts. */
+double
+parseTolerance(const std::string &text)
+{
+    char *end = nullptr;
+    const double value = std::strtod(text.c_str(), &end);
+    if (text.empty() || end != text.c_str() + text.size() ||
+        !std::isfinite(value) || value < 0.0) {
+        throw std::invalid_argument(
+            "--tolerance expects a non-negative number, got '" + text + "'");
+    }
+    return value;
+}
+
+/** parseIntStrict plus a lower bound. */
+int
+parseIntAtLeast(const std::string &text, const std::string &flag, int min)
+{
+    const int value = core::parseIntStrict(text, flag);
+    if (value < min) {
+        throw std::invalid_argument(flag + " must be >= " +
+                                    std::to_string(min));
+    }
+    return value;
+}
+
+void
+printUsage(std::FILE *out)
+{
+    std::fprintf(out,
+                 "usage: bench_simspeed [--quick|--full] [--reps=N] "
+                 "[--out=FILE] [--baseline=FILE] [--tolerance=F] "
+                 "[--golden] [--sim-jobs=N] [--segments=N] "
+                 "[--segment-warmup=K]  (0 = auto-detect)\n");
+}
+
 Options
 parseArgs(int argc, char **argv)
 {
     Options o;
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
-        if (a == "--quick") {
-            o.ops = 1'500'000;
-            o.mode = "quick";
-        } else if (a == "--full") {
-            o.ops = 24'000'000;
-            o.mode = "full";
-        } else if (a == "--golden") {
-            o.golden = true;
-        } else if (a.rfind("--reps=", 0) == 0) {
-            o.reps = std::stoi(a.substr(7));
-        } else if (a.rfind("--out=", 0) == 0) {
-            o.out = a.substr(6);
-        } else if (a.rfind("--baseline=", 0) == 0) {
-            o.baseline = a.substr(11);
-        } else if (a.rfind("--tolerance=", 0) == 0) {
-            o.tolerance = std::stod(a.substr(12));
-        } else if (a.rfind("--sim-jobs=", 0) == 0) {
-            o.simJobs = std::stoi(a.substr(11));
-        } else if (a.rfind("--segments=", 0) == 0) {
-            o.segments = std::stoi(a.substr(11));
-        } else if (a.rfind("--segment-warmup=", 0) == 0) {
-            o.warmup = std::stoi(a.substr(17));
-        } else {
-            std::fprintf(stderr,
-                         "usage: bench_simspeed [--quick|--full] [--reps=N] "
-                         "[--out=FILE] [--baseline=FILE] [--tolerance=F] "
-                         "[--golden] [--sim-jobs=N] [--segments=N] "
-                         "[--segment-warmup=K]  (0 = auto-detect)\n");
-            std::exit(a == "--help" ? 0 : 1);
+        try {
+            if (a == "--quick") {
+                o.ops = 1'500'000;
+                o.mode = "quick";
+            } else if (a == "--full") {
+                o.ops = 24'000'000;
+                o.mode = "full";
+            } else if (a == "--golden") {
+                o.golden = true;
+            } else if (a.rfind("--reps=", 0) == 0) {
+                o.reps = parseIntAtLeast(a.substr(7), "--reps", 1);
+            } else if (a.rfind("--out=", 0) == 0) {
+                o.out = a.substr(6);
+            } else if (a.rfind("--baseline=", 0) == 0) {
+                o.baseline = a.substr(11);
+            } else if (a.rfind("--tolerance=", 0) == 0) {
+                o.tolerance = parseTolerance(a.substr(12));
+            } else if (a.rfind("--sim-jobs=", 0) == 0) {
+                o.simJobs = parseIntAtLeast(a.substr(11), "--sim-jobs", 0);
+            } else if (a.rfind("--segments=", 0) == 0) {
+                o.segments = parseIntAtLeast(a.substr(11), "--segments", 0);
+            } else if (a.rfind("--segment-warmup=", 0) == 0) {
+                o.warmup =
+                    parseIntAtLeast(a.substr(17), "--segment-warmup", 0);
+            } else if (a == "--help") {
+                printUsage(stdout);
+                std::exit(0);
+            } else {
+                throw std::invalid_argument("unknown argument " + a);
+            }
+        } catch (const std::invalid_argument &err) {
+            std::fprintf(stderr, "bench_simspeed: %s\n", err.what());
+            printUsage(stderr);
+            std::exit(1);
         }
     }
     return o;

@@ -1,8 +1,9 @@
 #include "lab/orchestrator.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <optional>
 #include <stdexcept>
 
 #include "encoders/registry.hpp"
@@ -30,24 +31,12 @@ fillEncodeSummary(JobResult &result, const encoders::EncodeResult &enc)
 
 } // namespace
 
-bool
-Orchestrator::queueLess(const QueueItem &a, const QueueItem &b)
-{
-    // Higher priority first; submit order (seq) breaks ties, so a
-    // priority class drains deterministically FIFO.
-    if (a.priority != b.priority) {
-        return a.priority < b.priority;
-    }
-    return a.seq > b.seq;
-}
-
 OrchestratorOptions
 OrchestratorOptions::fromRunScale(const core::RunScale &scale)
 {
     OrchestratorOptions opts;
     opts.jobs = scale.jobs;
     opts.useCache = !scale.noCache;
-    opts.useTraceCache = !scale.noCache;
     opts.storeDir = scale.storeDir;
     return opts;
 }
@@ -58,21 +47,11 @@ Orchestrator::Orchestrator(OrchestratorOptions opts)
 {
 }
 
-Orchestrator::~Orchestrator()
-{
-    stopService();
-}
-
 size_t
 Orchestrator::request(const JobSpec &spec)
 {
     if (spec.threads < 1) {
         throw std::invalid_argument("lab: threads must be >= 1");
-    }
-    if (service_) {
-        throw std::logic_error(
-            "lab: request() is the batch API — use submit() while the "
-            "service is running");
     }
     std::string key = spec.canonicalKey();
     auto it = byKey_.find(key);
@@ -169,7 +148,7 @@ Orchestrator::execute(const JobSpec &spec)
     // Segment-mode stats depend on exact block boundaries, so only
     // sequential points go through the trace cache (their stats are
     // delivery-batching independent — replay is bit-identical).
-    if (!opts_.useTraceCache || spec.segments != 1) {
+    if (!opts_.useCache || spec.segments != 1) {
         return executeDirect(spec);
     }
 
@@ -199,15 +178,10 @@ Orchestrator::execute(const JobSpec &spec)
 JobResult
 Orchestrator::executeDirect(const JobSpec &spec)
 {
-    std::shared_ptr<const encoders::EncoderModel> encoder;
-    {
-        // encoders_ grows under intake_mutex_ while workers read it.
-        std::lock_guard<std::mutex> lock(intake_mutex_);
-        encoder = encoders_.at(spec.encoder);
-    }
+    const encoders::EncoderModel &encoder = *encoders_.at(spec.encoder);
     std::shared_ptr<const video::Video> clip = acquireClip(spec);
     encoderRuns_.fetch_add(1, std::memory_order_relaxed);
-    core::SweepPoint point = core::runPoint(*encoder, *clip, spec.crf,
+    core::SweepPoint point = core::runPoint(encoder, *clip, spec.crf,
                                             spec.preset, spec.toRunScale());
     clip.reset();
     releaseClip(spec);
@@ -256,11 +230,7 @@ JobResult
 Orchestrator::captureTrace(const JobSpec &spec,
                            const TraceCache::Lease &lease)
 {
-    std::shared_ptr<const encoders::EncoderModel> encoder;
-    {
-        std::lock_guard<std::mutex> lock(intake_mutex_);
-        encoder = encoders_.at(spec.encoder);
-    }
+    const encoders::EncoderModel &encoder = *encoders_.at(spec.encoder);
     const core::RunScale scale = spec.toRunScale();
     trace::FileSink sink(lease.tmpPath);
     sink.deferSeal(true);  // metadata is only known after the encode
@@ -269,7 +239,7 @@ Orchestrator::captureTrace(const JobSpec &spec,
     encoderRuns_.fetch_add(1, std::memory_order_relaxed);
     encoders::EncodeResult enc;
     const core::Feed encode = core::encodeFeed(
-        *encoder, *clip, spec.crf, spec.preset, scale, enc);
+        encoder, *clip, spec.crf, spec.preset, scale, enc);
     // One encode feeds BOTH the live core model and the on-disk
     // capture: the FileSink sees byte-for-byte the stream the core
     // simulates, which is what makes later replays bit-identical.
@@ -338,8 +308,7 @@ Orchestrator::executeWithRetry(const JobSpec &spec,
         return result;
     } catch (...) {
         // Second failure: record it instead of aborting — a long sweep
-        // (or a long-running service) must never lose completed work
-        // to one bad spec.
+        // must never lose completed work to one bad spec.
         result = JobResult{};
         result.failed = true;
         result.error = describe(std::current_exception());
@@ -355,10 +324,6 @@ Orchestrator::executeWithRetry(const JobSpec &spec,
 void
 Orchestrator::run()
 {
-    if (service_) {
-        throw std::logic_error("lab: run() while the service is active");
-    }
-
     // Phase 1 — resolve from the store (serial: cheap file reads).
     std::vector<size_t> pending;
     std::vector<size_t> resolved;  ///< Everything this call settles.
@@ -426,277 +391,41 @@ Orchestrator::run()
     }
 }
 
-// ---- Service mode ----------------------------------------------------
-
-void
-Orchestrator::startService(const ServiceOptions &options)
-{
-    std::lock_guard<std::mutex> lock(intake_mutex_);
-    if (service_) {
-        throw std::logic_error("lab: service already started");
-    }
-    auto service = std::make_unique<Service>();
-    service->opts = options;
-    service->opts.shards = std::max(1, options.shards);
-    service->opts.workers = std::max(1, options.workers);
-    for (int s = 0; s < service->opts.shards; ++s) {
-        service->shards.push_back(std::make_unique<Shard>());
-    }
-    service_ = std::move(service);
-    for (int w = 0; w < service_->opts.workers; ++w) {
-        service_->workers.emplace_back(
-            [this, w] { serviceWorker(static_cast<size_t>(w)); });
-    }
-}
-
-std::optional<size_t>
-Orchestrator::submit(const JobSpec &spec, int priority)
-{
-    if (spec.threads < 1) {
-        throw std::invalid_argument("lab: threads must be >= 1");
-    }
-    std::lock_guard<std::mutex> lock(intake_mutex_);
-    if (!service_) {
-        throw std::logic_error("lab: submit() before startService()");
-    }
-    Service &svc = *service_;
-
-    std::string key = spec.canonicalKey();
-    auto it = byKey_.find(key);
-    if (it != byKey_.end()) {
-        return it->second;  // Dedupe: already resolved or in flight.
-    }
-
-    // Cache-first intake: a warm-store hit resolves synchronously and
-    // never occupies queue capacity.
-    std::optional<JobResult> hit;
-    if (opts_.useCache) {
-        hit = store_.load(spec);
-    }
-
-    if (!hit) {
-        // Admission control: reject new work while the backlog is at
-        // the limit (dedupe hits and cache hits above are always
-        // admitted — they cost nothing to resolve).
-        std::lock_guard<std::mutex> wait_lock(svc.wait_mutex);
-        if (svc.opts.admissionLimit != 0 &&
-            svc.queued >= svc.opts.admissionLimit) {
-            ++rejected_;
-            return std::nullopt;
-        }
-    }
-
-    size_t handle;
-    {
-        std::lock_guard<std::mutex> done_lock(done_mutex_);
-        handle = jobs_.size();
-        jobs_.push_back(spec);
-        results_.push_back(nullptr);
-    }
-    byKey_.emplace(std::move(key), handle);
-
-    if (hit) {
-        {
-            std::lock_guard<std::mutex> done_lock(done_mutex_);
-            results_[handle] = std::make_unique<JobResult>(*hit);
-            ++cacheHits_;
-        }
-        done_cv_.notify_all();
-        return handle;
-    }
-
-    prepareMiss(spec);
-
-    QueueItem item;
-    item.priority = priority;
-    item.handle = handle;
-    Shard &shard = *svc.shards[handle % svc.shards.size()];
-    {
-        std::lock_guard<std::mutex> wait_lock(svc.wait_mutex);
-        item.seq = svc.next_seq++;
-        {
-            std::lock_guard<std::mutex> shard_lock(shard.mutex);
-            shard.heap.push_back(item);
-            std::push_heap(shard.heap.begin(), shard.heap.end(), queueLess);
-        }
-        ++svc.queued;
-    }
-    svc.work_cv.notify_one();
-    return handle;
-}
-
-std::optional<size_t>
-Orchestrator::popQueued(size_t worker_index)
-{
-    Service &svc = *service_;
-    const size_t n = svc.shards.size();
-    // Start at the worker's home shard, then steal round-robin: shards
-    // keep intake mostly contention-free while idle workers still find
-    // any backlog.
-    for (size_t k = 0; k < n; ++k) {
-        Shard &shard = *svc.shards[(worker_index + k) % n];
-        std::lock_guard<std::mutex> shard_lock(shard.mutex);
-        if (shard.heap.empty()) {
-            continue;
-        }
-        std::pop_heap(shard.heap.begin(), shard.heap.end(), queueLess);
-        size_t handle = shard.heap.back().handle;
-        shard.heap.pop_back();
-        return handle;
-    }
-    return std::nullopt;
-}
-
-void
-Orchestrator::serviceWorker(size_t worker_index)
-{
-    Service &svc = *service_;
-    for (;;) {
-        std::optional<size_t> handle = popQueued(worker_index);
-        if (!handle) {
-            std::unique_lock<std::mutex> wait_lock(svc.wait_mutex);
-            svc.work_cv.wait(wait_lock, [&] {
-                return svc.queued > 0 || svc.stopping;
-            });
-            if (svc.queued == 0 && svc.stopping) {
-                return;
-            }
-            continue;
-        }
-        {
-            std::lock_guard<std::mutex> wait_lock(svc.wait_mutex);
-            --svc.queued;
-        }
-
-        const JobSpec *spec = nullptr;
-        {
-            // Deque elements never move, so the reference outlives the
-            // lock; only the container's structure needs the mutex.
-            std::lock_guard<std::mutex> done_lock(done_mutex_);
-            spec = &jobs_[*handle];
-        }
-        JobResult result = executeWithRetry(*spec, service_retries_);
-        if (!result.failed) {
-            result.fromCache = false;
-            store_.save(*spec, result);
-        }
-        finishJob(*handle, std::move(result));
-    }
-}
-
-void
-Orchestrator::finishJob(size_t handle, JobResult &&result)
-{
-    {
-        std::lock_guard<std::mutex> done_lock(done_mutex_);
-        if (result.failed) {
-            ++failures_;
-        } else {
-            ++computed_;
-        }
-        results_[handle] = std::make_unique<JobResult>(std::move(result));
-    }
-    done_cv_.notify_all();
-}
-
-void
-Orchestrator::await(size_t handle)
-{
-    std::unique_lock<std::mutex> done_lock(done_mutex_);
-    if (handle >= results_.size()) {
-        throw std::out_of_range("lab: bad job handle");
-    }
-    done_cv_.wait(done_lock, [&] { return results_[handle] != nullptr; });
-}
-
-bool
-Orchestrator::finished(size_t handle) const
-{
-    std::lock_guard<std::mutex> done_lock(done_mutex_);
-    if (handle >= results_.size()) {
-        throw std::out_of_range("lab: bad job handle");
-    }
-    return results_[handle] != nullptr;
-}
-
-void
-Orchestrator::stopService()
-{
-    {
-        std::lock_guard<std::mutex> lock(intake_mutex_);
-        if (!service_) {
-            return;
-        }
-        {
-            std::lock_guard<std::mutex> wait_lock(service_->wait_mutex);
-            service_->stopping = true;
-        }
-        service_->work_cv.notify_all();
-    }
-    // Join outside intake_mutex_ so in-flight workers can still read
-    // the encoder map while finishing their last jobs.
-    for (std::thread &t : service_->workers) {
-        t.join();
-    }
-    std::lock_guard<std::mutex> lock(intake_mutex_);
-    retries_ += service_retries_.exchange(0);
-    service_.reset();
-}
-
 // ---- Results ---------------------------------------------------------
+
+const JobResult &
+Orchestrator::resolved(size_t handle, const char *accessor) const
+{
+    if (handle >= results_.size()) {
+        throw std::out_of_range("lab: bad job handle");
+    }
+    if (!results_[handle]) {
+        throw std::logic_error(std::string("lab: ") + accessor +
+                               "() before run()");
+    }
+    return *results_[handle];
+}
 
 const JobResult &
 Orchestrator::result(size_t handle) const
 {
-    const JobResult *result = nullptr;
-    {
-        std::lock_guard<std::mutex> done_lock(done_mutex_);
-        if (handle >= results_.size()) {
-            throw std::out_of_range("lab: bad job handle");
-        }
-        result = results_[handle].get();
+    const JobResult &result = resolved(handle, "result");
+    if (result.failed) {
+        throw std::runtime_error("lab: job failed: " + result.error);
     }
-    if (result == nullptr) {
-        throw std::logic_error("lab: result() before run()");
-    }
-    if (result->failed) {
-        throw std::runtime_error("lab: job failed: " + result->error);
-    }
-    return *result;
+    return result;
 }
 
 bool
 Orchestrator::failed(size_t handle) const
 {
-    const JobResult *result = nullptr;
-    {
-        std::lock_guard<std::mutex> done_lock(done_mutex_);
-        if (handle >= results_.size()) {
-            throw std::out_of_range("lab: bad job handle");
-        }
-        result = results_[handle].get();
-    }
-    if (result == nullptr) {
-        throw std::logic_error("lab: failed() before run()");
-    }
-    return result->failed;
+    return resolved(handle, "failed").failed;
 }
 
 const std::string &
 Orchestrator::error(size_t handle) const
 {
-    const JobResult *result = nullptr;
-    {
-        std::lock_guard<std::mutex> done_lock(done_mutex_);
-        if (handle >= results_.size()) {
-            throw std::out_of_range("lab: bad job handle");
-        }
-        result = results_[handle].get();
-    }
-    if (result == nullptr) {
-        throw std::logic_error("lab: error() before run()");
-    }
-    return result->error;
+    return resolved(handle, "error").error;
 }
 
 std::string
@@ -714,9 +443,6 @@ Orchestrator::summaryLine() const
     std::string line = buf;
     if (failures_ > 0) {
         line += ", " + std::to_string(failures_) + " failed";
-    }
-    if (rejected_ > 0) {
-        line += ", " + std::to_string(rejected_) + " rejected";
     }
     return line;
 }

@@ -10,12 +10,6 @@
  * failure is recorded, not fatal), and serialized progress lines — and
  * fans results back out per figure.
  *
- * Besides the batch API, the orchestrator can run as a persistent
- * service (startService/submit/await/stopService): worker threads
- * drain a sharded priority queue with asynchronous intake, admission
- * control, and the same dedupe/cache-first/retry semantics — the
- * execution engine of the vepro-serve encode farm.
- *
  * Decoded clips are reference-counted: a clip is loaded lazily when its
  * first cache-missing point starts and released as soon as its last
  * point completes, so a --full sweep never holds the whole suite
@@ -23,16 +17,11 @@
  */
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -48,16 +37,16 @@ namespace vepro::lab
 
 struct OrchestratorOptions {
     int jobs = 1;                      ///< Worker threads.
-    bool useCache = true;              ///< false = recompute everything.
     /**
-     * Capture each unique encode's op trace to `<store>/traces/` and
-     * replay it instead of re-running the encoder when the same encode
-     * is requested again (possibly on a different backend). Replays
-     * are bit-identical to the live fused pipeline, so this changes
-     * wall-clock only, never results. Disabled together with useCache
-     * by --no-cache.
+     * false = recompute everything (--no-cache): no result-store
+     * lookups and no trace cache. When true, each unique encode's op
+     * trace is captured to `<store>/traces/` and replayed instead of
+     * re-running the encoder when the same encode is requested again
+     * (possibly on a different backend). Replays are bit-identical to
+     * the live fused pipeline, so the trace cache changes wall-clock
+     * only, never results.
      */
-    bool useTraceCache = true;
+    bool useCache = true;
     std::string storeDir = ".vepro-lab";
     Progress *progress = &Progress::standard();
     bool verbose = true;               ///< Per-job progress lines.
@@ -72,26 +61,10 @@ struct OrchestratorOptions {
     static OrchestratorOptions fromRunScale(const core::RunScale &scale);
 };
 
-/**
- * Service-mode configuration (see Orchestrator::startService): the
- * persistent sharded priority queue behind vepro-serve's async job
- * intake.
- */
-struct ServiceOptions {
-    int shards = 4;    ///< Independent priority-queue shards (>= 1).
-    int workers = 1;   ///< Persistent worker threads (>= 1).
-    /**
-     * Admission control: maximum jobs queued (submitted but not yet
-     * started) before submit() rejects. 0 = unbounded.
-     */
-    size_t admissionLimit = 0;
-};
-
 class Orchestrator
 {
   public:
     explicit Orchestrator(OrchestratorOptions opts = {});
-    ~Orchestrator();
 
     /**
      * Register one point and get its handle. Requests dedupe: the same
@@ -110,45 +83,6 @@ class Orchestrator
      */
     void run();
 
-    // ---- Service mode: persistent queue with async intake -----------
-    //
-    // The batch API above resolves a closed set of requests in one
-    // run() call. Service mode promotes the orchestrator into a
-    // long-running farm back-end: persistent worker threads drain a
-    // sharded priority queue while producers keep submitting jobs
-    // asynchronously — the engine behind vepro-serve.
-
-    /**
-     * Spawn the service workers. Mutually exclusive with concurrent
-     * run() calls. @throws std::logic_error if already started.
-     */
-    void startService(const ServiceOptions &options);
-
-    /**
-     * Asynchronously submit one job; thread-safe. Cache hits and
-     * duplicates of an already-submitted spec resolve without queueing.
-     * Higher @p priority runs earlier; ties run in submit order.
-     *
-     * @return the job handle, or nullopt when admission control
-     *         rejected the job (queue at admissionLimit). A handle is
-     *         interchangeable with batch handles: await() it, then read
-     *         result().
-     */
-    std::optional<size_t> submit(const JobSpec &spec, int priority = 0);
-
-    /** Block until @p handle is resolved (thread-safe). */
-    void await(size_t handle);
-
-    /** True once @p handle has a result (possibly a failure). */
-    bool finished(size_t handle) const;
-
-    /**
-     * Drain every queued job, join the workers, and leave service
-     * mode. Every handle submitted before stopService() is resolved
-     * when it returns. Idempotent.
-     */
-    void stopService();
-
     /** The result for a handle. @throws std::logic_error before run();
      *  rethrows the recorded error for a failed job. */
     const JobResult &result(size_t handle) const;
@@ -161,10 +95,8 @@ class Orchestrator
     size_t requested() const { return jobs_.size(); }  ///< Unique jobs.
     size_t cacheHits() const { return cacheHits_; }
     size_t computed() const { return computed_; }
-    size_t retries() const { return retries_ + service_retries_.load(); }
+    size_t retries() const { return retries_; }
     size_t failures() const { return failures_; }
-    /** Jobs admission control turned away (service mode). */
-    size_t rejected() const { return rejected_; }
 
     // ---- Trace-cache observability (the "no encoder work" seam) -----
     /** Times the encoder model actually ran (live encodes). A fully
@@ -191,33 +123,10 @@ class Orchestrator
         size_t remaining = 0;  ///< Pending points still needing it.
     };
 
-    /** One queued service job, ordered by (priority desc, seq asc). */
-    struct QueueItem {
-        int priority = 0;
-        uint64_t seq = 0;
-        size_t handle = 0;
-    };
-
-    struct Shard {
-        std::mutex mutex;
-        std::vector<QueueItem> heap;  ///< std::push_heap max-heap.
-    };
-
-    /** Everything the persistent service owns; null in batch mode. */
-    struct Service {
-        ServiceOptions opts;
-        std::vector<std::unique_ptr<Shard>> shards;
-        std::vector<std::thread> workers;
-        std::mutex wait_mutex;
-        std::condition_variable work_cv;
-        size_t queued = 0;       ///< Submitted, not yet started.
-        uint64_t next_seq = 0;
-        bool stopping = false;
-    };
-
-    /** Max-heap order: higher priority first, then submit order. */
-    static bool queueLess(const QueueItem &a, const QueueItem &b);
-
+    /** The settled result of @p handle, failed or not. @throws
+     *  std::out_of_range on a bad handle, std::logic_error before
+     *  run() (naming @p accessor). */
+    const JobResult &resolved(size_t handle, const char *accessor) const;
     JobResult execute(const JobSpec &spec);
     /** The pre-trace-cache path: live encode fused with the core
      *  model (runPoint). Used for segment-mode specs and --no-cache. */
@@ -234,9 +143,6 @@ class Orchestrator
     JobResult executeWithRetry(const JobSpec &spec,
                                std::atomic<size_t> &retried);
     void prepareMiss(const JobSpec &spec);
-    void finishJob(size_t handle, JobResult &&result);
-    void serviceWorker(size_t worker_index);
-    std::optional<size_t> popQueued(size_t worker_index);
     std::shared_ptr<const video::Video> acquireClip(const JobSpec &spec);
     void releaseClip(const JobSpec &spec);
     static std::string clipKey(const JobSpec &spec);
@@ -245,12 +151,11 @@ class Orchestrator
     ResultStore store_;
     TraceCache traceCache_;
 
-    // Deques for reference stability: service workers hold references
-    // to their job's spec and result slot while submit() keeps growing
-    // both containers (structural changes and slot writes are guarded
-    // by done_mutex_; a deque never relocates existing elements).
-    std::deque<JobSpec> jobs_;
-    std::deque<std::unique_ptr<JobResult>> results_;
+    // Grown only by request() and run()'s serial phases, never while
+    // run()'s workers read them; workers write disjoint results_
+    // slots.
+    std::vector<JobSpec> jobs_;
+    std::vector<std::unique_ptr<JobResult>> results_;
     std::unordered_map<std::string, size_t> byKey_;
 
     std::unordered_map<std::string,
@@ -259,18 +164,7 @@ class Orchestrator
     std::unordered_map<std::string, std::unique_ptr<ClipSlot>> clips_;
     std::mutex clips_mutex_;  ///< Guards the clips_ map (not the slots).
 
-    /** Intake/dedupe state shared by submit() callers; also guards the
-     *  counters below in service mode (batch mode is single-threaded
-     *  outside parallelFor, which only touches disjoint results_). */
-    mutable std::mutex intake_mutex_;
-    /** Resolution signalling for await()/finished(). */
-    mutable std::mutex done_mutex_;
-    mutable std::condition_variable done_cv_;
-
-    std::unique_ptr<Service> service_;
-    std::atomic<size_t> service_retries_{0};
-
-    // Relaxed atomics: incremented from parallelFor/service workers,
+    // Relaxed atomics: incremented from parallelFor workers,
     // read from accessors after the work drains.
     std::atomic<size_t> encoderRuns_{0};
     std::atomic<size_t> traceCaptures_{0};
@@ -280,7 +174,6 @@ class Orchestrator
     size_t computed_ = 0;
     size_t retries_ = 0;
     size_t failures_ = 0;
-    size_t rejected_ = 0;
 };
 
 } // namespace vepro::lab

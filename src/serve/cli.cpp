@@ -5,6 +5,7 @@
 
 #include "backend/profile.hpp"
 #include "core/experiment.hpp"
+#include "trace/pipeline.hpp"
 
 namespace vepro::serve
 {
@@ -109,7 +110,8 @@ serveUsage()
            "                         J/encode, miss rate per mix\n"
            "  --backends A,B,..      profiles the fleet sweep mixes\n"
            "                         (default: the full registry)\n"
-           "  --jobs N               cost-resolution workers (default 1)\n"
+           "  --jobs N               cost-resolution workers (default 1;\n"
+           "                         0 = one per hardware thread)\n"
            "  --store DIR            result store directory (.vepro-lab)\n"
            "  --json PATH            write the SLA/fleet table as JSON\n"
            "  --markdown PATH        write the fleet table as markdown\n"
@@ -243,7 +245,11 @@ parseServeCli(const std::vector<std::string> &args)
                     }
                 }
             } else if (flag == "--jobs") {
-                cli.jobs = core::parseIntStrict(v, flag);
+                const int jobs = core::parseIntStrict(v, flag);
+                if (jobs < 0) {
+                    throw std::invalid_argument("--jobs must be >= 0");
+                }
+                cli.jobs = trace::resolveJobs(jobs);  // 0 = auto-detect
             } else if (flag == "--store") {
                 cli.storeDir = v;
             } else if (flag == "--json") {

@@ -149,11 +149,11 @@ CostModel::resolveOn(const std::vector<std::string> &backends,
         }
     }
 
-    // Cost specs go through the orchestrator's persistent service:
-    // async intake, cache-first against the store, parallel across its
-    // workers. Duplicate combos dedupe to the same handle for free.
-    // Fixed-function backends never submit: they are priced
-    // analytically from the clip's full-scale block count.
+    // Cost specs go through the orchestrator's batch API: request()
+    // each one (duplicate combos dedupe to the same handle), then one
+    // run() resolves them cache-first against the store, in parallel
+    // across its workers. Fixed-function backends never request: they
+    // are priced analytically from the clip's full-scale block count.
     struct Pending {
         std::string key;
         std::string backend;
@@ -183,19 +183,14 @@ CostModel::resolveOn(const std::vector<std::string> &backends,
                     }
                     lab::JobSpec spec = specFor(clip, crf, preset);
                     spec.backend = prof.name;
-                    const auto handle = orch_.submit(spec);
-                    if (!handle.has_value()) {
-                        throw std::runtime_error(
-                            "serve: cost spec rejected by admission "
-                            "control");
-                    }
-                    pending.push_back({key, prof.name, preset, *handle});
+                    pending.push_back(
+                        {key, prof.name, preset, orch_.request(spec)});
                 }
             }
         }
     }
+    orch_.run();
     for (const Pending &p : pending) {
-        orch_.await(p.handle);
         const lab::JobResult &result = orch_.result(p.handle);
         const double ipc = result.core.ipc();
         if (result.encode.instructions == 0 || ipc <= 0.0) {

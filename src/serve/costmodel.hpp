@@ -8,11 +8,11 @@
  * registry, src/backend).
  *
  * Every (backend, clip, crf, preset) combo in a scenario resolves to
- * one lab::JobSpec executed by the Orchestrator's persistent service
- * (async submit + await): the instrumented encoder model produces the
- * dynamic instruction count and the core model — built from the
- * backend's CoreConfig — the achieved IPC, both persisted in the
- * store. A warm store makes policy and fleet sweeps replay without
+ * one lab::JobSpec; resolve() requests them all and resolves them in
+ * one Orchestrator::run() batch. The instrumented encoder model
+ * produces the dynamic instruction count and the core model — built
+ * from the backend's CoreConfig — the achieved IPC, both persisted in
+ * the store. A warm store makes policy and fleet sweeps replay without
  * re-encoding anything; specs on the default profile keep the exact
  * pre-backend store key, so old entries stay cache hits.
  *
@@ -101,13 +101,13 @@ struct CostModelConfig {
 class CostModel final : public FleetCostOracle
 {
   public:
-    /** @param orch Orchestrator whose service mode is ALREADY started
-     *  (resolve() submits into it). Not owned. */
+    /** @param orch Orchestrator that resolve() requests specs from
+     *  and runs. Not owned. */
     CostModel(lab::Orchestrator &orch, CostModelConfig config);
 
     /**
      * Resolve every (clip, crf, ladder-preset) combo on the primary
-     * backend: submit the specs asynchronously, await them, memoise
+     * backend: request the specs, run() them as one batch, memoise
      * service seconds and energy. Also runs the per-preset task-graph
      * speedup probes. Idempotent per combo.
      */
@@ -115,7 +115,7 @@ class CostModel final : public FleetCostOracle
                  const std::vector<int> &crfs);
 
     /** resolve() across several named profiles (fleet sweeps).
-     *  Fixed-function backends are priced analytically, no submits. */
+     *  Fixed-function backends are priced analytically, no requests. */
     void resolveOn(const std::vector<std::string> &backends,
                    const std::vector<std::string> &clips,
                    const std::vector<int> &crfs);

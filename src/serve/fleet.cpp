@@ -154,20 +154,15 @@ fleetSweep(const std::vector<UploadJob> &arrivals, const FarmConfig &farm,
 
 FleetRun
 runFleetScenario(const ServeScenario &scenario, lab::Orchestrator &orch,
-                 int jobs, FleetConfig config)
+                 FleetConfig config)
 {
     if (config.backends.empty()) {
         config.backends = backend::profileNames();
     }
 
-    lab::ServiceOptions sopts;
-    sopts.shards = scenario.farm.shards;
-    sopts.workers = jobs >= 1 ? jobs : 1;
-    orch.startService(sopts);
     CostModel cost(orch, scenario.cost);
     cost.resolveOn(config.backends, rungClipIds(scenario.traffic),
                    scenario.traffic.crfs);
-    orch.stopService();
 
     FleetRun run;
     run.arrivals = generateTraffic(scenario.traffic);

@@ -99,12 +99,11 @@ struct FleetRun {
 
 /**
  * The vepro-serve --fleet driver: resolve costs for every backend
- * through the orchestrator's service (workers = @p jobs), then sweep.
- * Like runScenario, the table is byte-identical for any @p jobs.
+ * through one @p orch run(), then sweep. Like runScenario, the table
+ * is byte-identical for any worker count.
  */
 FleetRun runFleetScenario(const ServeScenario &scenario,
-                          lab::Orchestrator &orch, int jobs,
-                          FleetConfig config);
+                          lab::Orchestrator &orch, FleetConfig config);
 
 } // namespace vepro::serve
 

@@ -45,16 +45,10 @@ referenceScenario(bool quick)
 }
 
 ScenarioRun
-runScenario(const ServeScenario &scenario, lab::Orchestrator &orch,
-            int jobs)
+runScenario(const ServeScenario &scenario, lab::Orchestrator &orch)
 {
-    lab::ServiceOptions sopts;
-    sopts.shards = scenario.farm.shards;
-    sopts.workers = jobs >= 1 ? jobs : 1;
-    orch.startService(sopts);
     CostModel cost(orch, scenario.cost);
     cost.resolve(rungClipIds(scenario.traffic), scenario.traffic.crfs);
-    orch.stopService();
 
     ScenarioRun run;
     run.arrivals = generateTraffic(scenario.traffic);

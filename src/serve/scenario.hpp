@@ -48,15 +48,14 @@ struct ScenarioRun {
 };
 
 /**
- * Run @p scenario: start the orchestrator's service (workers = @p
- * jobs, shards/admission from the farm config), resolve the cost
- * combos through it, stop the service, then simulate one StaticPolicy
- * per ladder rung plus AdaptivePolicy over the identical arrival
- * sequence. The policy loop is pure, so the resulting table is
- * byte-identical for any @p jobs.
+ * Run @p scenario: resolve the cost combos through @p orch (one
+ * run() on its OrchestratorOptions::jobs workers), then simulate one
+ * StaticPolicy per ladder rung plus AdaptivePolicy over the identical
+ * arrival sequence. The policy loop is pure, so the resulting table
+ * is byte-identical for any worker count.
  */
 ScenarioRun runScenario(const ServeScenario &scenario,
-                        lab::Orchestrator &orch, int jobs);
+                        lab::Orchestrator &orch);
 
 } // namespace vepro::serve
 

@@ -78,7 +78,7 @@ main(int argc, char **argv)
             serve::FleetConfig config;
             config.backends = cli.fleetBackends;
             const serve::FleetRun run =
-                serve::runFleetScenario(scenario, orch, cli.jobs, config);
+                serve::runFleetScenario(scenario, orch, config);
             std::cout << "traffic: " << run.arrivals.size()
                       << " uploads over " << scenario.traffic.durationSec
                       << " s\n";
@@ -103,7 +103,7 @@ main(int argc, char **argv)
         }
 
         const serve::ScenarioRun run =
-            serve::runScenario(scenario, orch, cli.jobs);
+            serve::runScenario(scenario, orch);
         std::cout << "traffic: " << run.arrivals.size() << " uploads over "
                   << scenario.traffic.durationSec << " s\n";
         run.table.print("SLA outcomes per scheduling policy");

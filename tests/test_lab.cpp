@@ -642,155 +642,6 @@ TEST(Orchestrator, SecondFailureIsRecordedAndTheSweepKeepsDraining)
     EXPECT_NE(orch.summaryLine().find("1 failed"), std::string::npos);
 }
 
-// ---- Service mode (the vepro-serve engine) ---------------------------
-
-TEST(OrchestratorService, AsyncSubmitResolvesDedupesAndCaches)
-{
-    std::string dir = freshDir("svc");
-    std::atomic<size_t> calls{0};
-    OrchestratorOptions opts;
-    opts.storeDir = dir;
-    opts.progress = nullptr;
-    opts.verbose = false;
-    opts.runner = [&calls](const JobSpec &spec) {
-        calls.fetch_add(1);
-        return makeResult(spec.crf);
-    };
-    Orchestrator orch(opts);
-    ServiceOptions svc;
-    svc.shards = 3;
-    svc.workers = 4;
-    orch.startService(svc);
-
-    std::vector<size_t> handles;
-    for (int crf = 1; crf <= 20; ++crf) {
-        auto h = orch.submit(makeSpec(crf), /*priority=*/crf % 3);
-        ASSERT_TRUE(h.has_value());
-        handles.push_back(*h);
-    }
-    // Dedupe: resubmitting an in-flight or finished spec returns the
-    // same handle without re-running it.
-    auto dup = orch.submit(makeSpec(7));
-    ASSERT_TRUE(dup.has_value());
-    EXPECT_EQ(*dup, handles[6]);
-
-    for (size_t h : handles) {
-        orch.await(h);
-        EXPECT_TRUE(orch.finished(h));
-    }
-    orch.stopService();
-    EXPECT_EQ(calls.load(), 20u);
-    EXPECT_EQ(orch.computed(), 20u);
-    for (int crf = 1; crf <= 20; ++crf) {
-        EXPECT_EQ(orch.result(handles[static_cast<size_t>(crf - 1)])
-                      .encode.instructions,
-                  1'000'000ull + static_cast<uint64_t>(crf));
-    }
-
-    // A second service run over the same store is pure cache intake.
-    Orchestrator warm(opts);
-    warm.startService(svc);
-    auto h = warm.submit(makeSpec(5));
-    ASSERT_TRUE(h.has_value());
-    warm.await(*h);  // Cache hits resolve synchronously.
-    warm.stopService();
-    EXPECT_EQ(calls.load(), 20u);
-    EXPECT_EQ(warm.cacheHits(), 1u);
-    EXPECT_TRUE(warm.result(*h).fromCache);
-}
-
-TEST(OrchestratorService, AdmissionControlRejectsBeyondTheLimit)
-{
-    std::string dir = freshDir("svcadmit");
-    // A runner that blocks until released, so the queue visibly fills.
-    std::atomic<bool> release{false};
-    OrchestratorOptions opts;
-    opts.storeDir = dir;
-    opts.progress = nullptr;
-    opts.runner = [&release](const JobSpec &spec) {
-        while (!release.load()) {
-            std::this_thread::yield();
-        }
-        return makeResult(spec.crf);
-    };
-    Orchestrator orch(opts);
-    ServiceOptions svc;
-    svc.shards = 2;
-    svc.workers = 1;
-    svc.admissionLimit = 3;
-    orch.startService(svc);
-
-    // First submit may start executing immediately; the next three fill
-    // the queue to the admission limit; the ones after are rejected.
-    std::vector<size_t> accepted;
-    size_t rejected = 0;
-    for (int crf = 1; crf <= 10; ++crf) {
-        auto h = orch.submit(makeSpec(crf));
-        if (h) {
-            accepted.push_back(*h);
-        } else {
-            ++rejected;
-        }
-    }
-    EXPECT_GE(rejected, 6u);  // At most worker(1) + limit(3) admitted.
-    EXPECT_EQ(orch.rejected(), rejected);
-    EXPECT_NE(orch.summaryLine().find("rejected"), std::string::npos);
-
-    release.store(true);
-    orch.stopService();  // Drains every accepted job.
-    for (size_t h : accepted) {
-        EXPECT_TRUE(orch.finished(h));
-        EXPECT_FALSE(orch.failed(h));
-    }
-}
-
-TEST(OrchestratorService, FailedJobResolvesWithoutStallingTheService)
-{
-    std::string dir = freshDir("svcfail");
-    OrchestratorOptions opts;
-    opts.storeDir = dir;
-    opts.progress = nullptr;
-    opts.runner = [](const JobSpec &spec) -> JobResult {
-        if (spec.crf == 13) {
-            throw std::runtime_error("unlucky spec");
-        }
-        return makeResult(spec.crf);
-    };
-    Orchestrator orch(opts);
-    ServiceOptions svc;
-    svc.workers = 2;
-    orch.startService(svc);
-    auto bad = orch.submit(makeSpec(13));
-    auto good = orch.submit(makeSpec(14));
-    ASSERT_TRUE(bad && good);
-    orch.await(*bad);
-    orch.await(*good);
-    orch.stopService();
-    EXPECT_TRUE(orch.failed(*bad));
-    EXPECT_NE(orch.error(*bad).find("unlucky spec"), std::string::npos);
-    EXPECT_FALSE(orch.failed(*good));
-    EXPECT_EQ(orch.result(*good).encode.instructions, 1'000'014u);
-    // Failures are never persisted: a later service can retry fresh.
-    ResultStore store(dir, nullptr);
-    EXPECT_FALSE(store.load(makeSpec(13)).has_value());
-}
-
-TEST(OrchestratorService, BatchApiRefusedWhileServiceRuns)
-{
-    OrchestratorOptions opts;
-    opts.storeDir = freshDir("svcguard");
-    opts.progress = nullptr;
-    opts.runner = [](const JobSpec &spec) { return makeResult(spec.crf); };
-    Orchestrator orch(opts);
-    EXPECT_THROW(orch.submit(makeSpec(1)), std::logic_error);
-    orch.startService({});
-    EXPECT_THROW(orch.request(makeSpec(1)), std::logic_error);
-    EXPECT_THROW(orch.run(), std::logic_error);
-    EXPECT_THROW(orch.startService({}), std::logic_error);
-    orch.stopService();
-    orch.stopService();  // Idempotent.
-}
-
 TEST(Orchestrator, ParallelRunResolvesEveryPoint)
 {
     std::string dir = freshDir("parallel");
@@ -1118,7 +969,7 @@ TEST(TraceCacheE2E, SegmentedAndOptedOutSpecsBypassTheCache)
         // --no-cache style opt-out.
         const std::string dir = freshDir("tnocache");
         OrchestratorOptions opts = realRunnerOptions(dir);
-        opts.useTraceCache = false;
+        opts.useCache = false;
         Orchestrator orch(opts);
         orch.request(quickSpec());
         orch.run();

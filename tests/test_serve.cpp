@@ -26,6 +26,7 @@
 #include "serve/policy.hpp"
 #include "serve/scenario.hpp"
 #include "serve/traffic.hpp"
+#include "trace/pipeline.hpp"
 
 namespace vepro::serve
 {
@@ -386,7 +387,7 @@ TEST(Scenario, SlaTableIsByteIdenticalAcrossOrchestratorJobs)
         opts.verbose = false;
         opts.runner = fakeRun;
         lab::Orchestrator orch(opts);
-        const ScenarioRun run = runScenario(scenario, orch, jobs);
+        const ScenarioRun run = runScenario(scenario, orch);
         const std::string json = run.table.toJson();
         ASSERT_FALSE(json.empty());
         if (first.empty()) {
@@ -411,7 +412,7 @@ TEST(Scenario, ReferenceOverloadPinAdaptiveBeatsSlowestStatic)
     opts.verbose = false;
     lab::Orchestrator orch(opts);
 
-    const ScenarioRun run = runScenario(scenario, orch, 2);
+    const ScenarioRun run = runScenario(scenario, orch);
     ASSERT_EQ(run.reports.size(), scenario.cost.presets.size() + 1);
     const SlaReport &slowest = run.reports.front();
     const SlaReport &adaptive = run.reports.back();
@@ -440,10 +441,8 @@ TEST(Scenario, CostModelScalesWithPresetAndCachesThroughTheStore)
     double slow = 0.0, fast = 0.0;
     {
         lab::Orchestrator orch(opts);
-        orch.startService({});
         CostModel cost(orch, config);
         cost.resolve({"game1"}, {32});
-        orch.stopService();
         slow = cost.serviceSeconds("game1", 32, 2);
         fast = cost.serviceSeconds("game1", 32, 8);
         EXPECT_GT(slow, fast);
@@ -452,10 +451,8 @@ TEST(Scenario, CostModelScalesWithPresetAndCachesThroughTheStore)
     }
     {
         lab::Orchestrator orch(opts);
-        orch.startService({});
         CostModel cost(orch, config);
         cost.resolve({"game1"}, {32});
-        orch.stopService();
         EXPECT_EQ(orch.cacheHits(), 2u);
         EXPECT_EQ(orch.computed(), 0u);
         EXPECT_DOUBLE_EQ(cost.serviceSeconds("game1", 32, 2), slow);
@@ -482,6 +479,24 @@ TEST(ServeCli, IntegerFlagsRejectTrailingJunk)
     EXPECT_EQ(ok.scenario.farm.servers, 2);
     EXPECT_EQ(ok.scenario.farm.shards, 3);
     EXPECT_EQ(ok.jobs, 4);
+}
+
+TEST(ServeCli, JobsZeroAutoDetectsAndNegativeIsAnError)
+{
+    // Same meaning as vepro-lab's --jobs: 0 = one worker per hardware
+    // thread, negative counts are rejected rather than run as 1.
+    const ServeCli automatic = parseServeCli({"--jobs=0"});
+    ASSERT_TRUE(automatic.error.empty()) << automatic.error;
+    EXPECT_EQ(automatic.jobs, trace::resolveJobs(0));
+    EXPECT_GE(automatic.jobs, 1);
+
+    for (const char *bad : {"-3", "-1"}) {
+        const ServeCli cli = parseServeCli({"--jobs", bad, "--quick"});
+        EXPECT_FALSE(cli.error.empty()) << bad << " was accepted";
+        EXPECT_NE(cli.error.find("--jobs"), std::string::npos) << cli.error;
+    }
+    EXPECT_EQ(parseServeCli({"--jobs=3"}).jobs, 3);
+    EXPECT_EQ(parseServeCli({}).jobs, 1);
 }
 
 TEST(ServeCli, BackendFlagsValidateAndOverride)
@@ -740,11 +755,9 @@ TEST(CostModel, ResolvesPerBackendAndPricesFixedFunctionAnalytically)
     opts.runner = fakeRun;
 
     lab::Orchestrator orch(opts);
-    orch.startService({});
     CostModel cost(orch, config);
     cost.resolveOn({"xeon-bdw", "graviton-like", "hw-enc"}, {"game1"},
                    {32});
-    orch.stopService();
 
     // Default primary == xeon-bdw: base-class queries match the *On
     // form, and the xeon numbers reproduce the pre-backend cost model
@@ -781,7 +794,7 @@ TEST(CostModel, ResolvesPerBackendAndPricesFixedFunctionAnalytically)
     EXPECT_THROW(cost.serviceSecondsOn("xeon-bdw", "house", 32, 2),
                  std::out_of_range);
 
-    // Only the two core backends submitted specs: 2 backends x 2
+    // Only the two core backends requested specs: 2 backends x 2
     // presets, nothing for hw-enc.
     EXPECT_EQ(orch.computed(), 4u);
 }
@@ -804,10 +817,8 @@ TEST(CostModel, FleetResolutionCapturesEachTraceExactlyOnce)
     opts.verbose = false;
 
     lab::Orchestrator orch(opts);
-    orch.startService({});
     CostModel cost(orch, config);
     cost.resolveOn({"xeon-bdw", "graviton-like"}, {"game1"}, {32});
-    orch.stopService();
 
     // 1 clip x 1 crf x 2 presets = 2 unique encodes; 2 backends x 2
     // presets = 4 computed specs, the extra 2 resolved by replay.
@@ -836,17 +847,17 @@ TEST(CostModel, ExplicitOverridesSupersedeTheProfile)
     CostModelConfig halved = plain;
     halved.nominalGhz = 1.5;  // Half the xeon profile's 3.0 GHz.
 
-    orch.startService({});
     CostModel a(orch, plain);
     a.resolve({"game1"}, {32});
     CostModel b(orch, halved);
     b.resolve({"game1"}, {32});
-    orch.stopService();
 
     // Same measured spec (same cache entry), half the clock: exactly
-    // twice the seconds.
+    // twice the seconds. b's request dedupes to the handle a's run()
+    // already resolved, so the spec is computed once.
     EXPECT_DOUBLE_EQ(b.serviceSeconds("game1", 32, 8),
                      2.0 * a.serviceSeconds("game1", 32, 8));
+    EXPECT_EQ(orch.computed(), 1u);
 }
 
 TEST(CostModel, RungCombosClampTheProxyButKeepTheBaseClip)
@@ -892,8 +903,7 @@ TEST(Scenario, FleetTableIsByteIdenticalAcrossOrchestratorJobs)
         opts.runner = fakeRun;
         lab::Orchestrator orch(opts);
         FleetConfig config;  // Full registry.
-        const FleetRun run =
-            runFleetScenario(scenario, orch, jobs, config);
+        const FleetRun run = runFleetScenario(scenario, orch, config);
         EXPECT_EQ(run.sweep.mixes.size(),
                   backend::profileNames().size() + 1);
         const std::string json = run.sweep.table.toJson();
