@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <filesystem>
 
 #include "backend/profile.hpp"
@@ -20,6 +21,7 @@
 #include "trace/trace_io.hpp"
 #include "uarch/core.hpp"
 #include "video/generator.hpp"
+#include "video/suite.hpp"
 
 namespace vepro::core
 {
@@ -364,6 +366,163 @@ TEST(GoldenStats, CacheSinkCountersOnSynthTrace)
     EXPECT_EQ(m.llc().accesses(), 93996u);
     EXPECT_EQ(m.llc().misses(), 81221u);
     EXPECT_EQ(m.l1d().invalidations() + m.l2().invalidations(), 5u);
+}
+
+/** FNV-1a over every CoreStats counter, in declaration order. */
+uint64_t
+coreStatsDigest(const uarch::CoreStats &s)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (uint64_t v :
+         {s.cycles, s.instructions, s.slots.retiring, s.slots.badSpec,
+          s.slots.frontend, s.slots.backend, s.slots.backendMemory,
+          s.slots.backendCore, s.stalls.rs, s.stalls.rob, s.stalls.loadBuf,
+          s.stalls.storeBuf, s.condBranches, s.mispredicts, s.l1iMisses,
+          s.l1dAccesses, s.l1dMisses, s.l2Misses, s.llcMisses,
+          s.invalidations}) {
+        for (int i = 0; i < 8; ++i) {
+            h = (h ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ULL;
+        }
+    }
+    return h;
+}
+
+/** Digests of @p ops simulated on xeon-bdw and on graviton-like. */
+std::array<uint64_t, 2>
+profileDigests(const std::vector<trace::TraceOp> &ops)
+{
+    std::array<uint64_t, 2> out{};
+    const uarch::CoreConfig configs[] = {uarch::xeonBdwConfig(),
+                                         uarch::gravitonLikeConfig()};
+    for (size_t i = 0; i < 2; ++i) {
+        uarch::StreamCore core(configs[i]);
+        core.onOps(ops.data(), ops.size());
+        core.flush();
+        out[i] = coreStatsDigest(core.stats());
+    }
+    return out;
+}
+
+TEST(GoldenStats, CoreDigestsOnCappedEncoderTraces)
+{
+    // Real encoder op streams, captured the way a quick sweep point
+    // captures them (quick suite scale, default capped sampling), pinned
+    // on both core profiles a cross-backend replay resolves.
+    struct Capture {
+        const char *encoder;
+        const char *video;
+        int preset;
+        int crf;
+        std::array<uint64_t, 2> want;
+    };
+    const Capture captures[] = {
+        {"SVT-AV1",
+         "cat",
+         6,
+         40,
+         {12676967985007171273ULL, 8611232328502729762ULL}},
+        {"x265",
+         "cat",
+         5,
+         30,
+         {13590495283447617088ULL, 7195856478936289100ULL}},
+    };
+    video::SuiteScale suite;
+    suite.divisor = 8;
+    suite.frames = 6;
+    for (const Capture &c : captures) {
+        auto enc = encoders::encoderByName(c.encoder);
+        encoders::EncodeParams p;
+        p.crf = c.crf;
+        p.preset = c.preset;
+        trace::VectorSink sink;
+        enc->encode(video::loadSuiteVideo(c.video, suite), p,
+                    tracingConfig(RunScale{}), false, &sink);
+        ASSERT_EQ(sink.ops().size(), RunScale{}.maxTraceOps) << c.encoder;
+        const std::array<uint64_t, 2> got = profileDigests(sink.ops());
+        EXPECT_EQ(got[0], c.want[0]) << c.encoder << " on xeon-bdw";
+        EXPECT_EQ(got[1], c.want[1]) << c.encoder << " on graviton-like";
+    }
+}
+
+/**
+ * A scheduler kept full. The trace alternates two 2048-op phases. In
+ * the first, nearly every op is an ALU op with no producer, so
+ * allocation outruns the ALU ports and dozens of ready entries sit
+ * port-starved each cycle until the ROB fills behind a starved head. In
+ * the second, a chain of divides (20 cycles each, one multiply port)
+ * holds three dependants per link while independent ALU ops keep the
+ * ALU ports contended, so the station itself fills. Loads and stores
+ * over an L1-sized footprint, SIMD ops and one loop branch per 256 ops
+ * run through both.
+ */
+std::vector<trace::TraceOp>
+portStarvedTrace(size_t n)
+{
+    std::vector<trace::TraceOp> ops;
+    ops.reserve(n);
+    uint64_t x = 0x9e3779b97f4a7c15ULL;
+    auto next = [&x] {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        return x;
+    };
+    for (size_t i = 0; i < n; ++i) {
+        trace::TraceOp op;
+        op.pc = 0x400000 + (i % 256) * 4;
+        const uint64_t r = next();
+        if (i % 256 == 255) {
+            op.cls = trace::OpClass::BranchCond;  // the loop branch
+            op.taken = (r >> 8) % 5 != 0;
+        } else if ((i / 2048) % 2 == 1 && i % 8 < 4) {
+            // Divide-chain phase: a divide on the previous link, then
+            // three ALU ops that consume it.
+            if (i % 8 == 0) {
+                op.cls = trace::OpClass::Div;
+                op.dep1 = 8;
+            } else {
+                op.dep1 = static_cast<uint8_t>(i % 8);
+            }
+        } else {
+            switch (r % 64) {
+              case 0:
+                op.cls = trace::OpClass::Mul;
+                op.dep1 = static_cast<uint8_t>(1 + (r >> 8) % 6);
+                break;
+              case 1:
+                op.cls = trace::OpClass::SimdAlu;
+                break;
+              case 2:
+                op.cls = trace::OpClass::Load;
+                op.addr = 0x10000000 + ((r >> 8) % 256) * 64;
+                break;
+              case 3:
+                op.cls = trace::OpClass::Store;
+                op.addr = 0x10000000 + ((r >> 8) % 128) * 64;
+                op.dep1 = 1;
+                break;
+              default:
+                break;  // an ALU op with no producer
+            }
+        }
+        ops.push_back(op);
+    }
+    return ops;
+}
+
+TEST(GoldenStats, CoreDigestsOnPortStarvedStation)
+{
+    const std::vector<trace::TraceOp> ops = portStarvedTrace(200'000);
+    const std::array<uint64_t, 2> got = profileDigests(ops);
+    EXPECT_EQ(got[0], 5209743935037665011ULL);
+    EXPECT_EQ(got[1], 9070889926220398206ULL);
+    // The trace must keep the scheduler full, or it pins nothing.
+    uarch::StreamCore core;
+    core.onOps(ops.data(), ops.size());
+    core.flush();
+    EXPECT_GT(core.stats().stalls.rs, core.stats().cycles / 2);
+    EXPECT_GT(core.stats().stalls.rob, 0u);
 }
 
 TEST(GoldenStats, PredictorMissesOnSynthBranches)
