@@ -307,11 +307,14 @@ diffStats(const uarch::CoreStats &ref, const uarch::CoreStats &fast)
     return out.str();
 }
 
-/** Run the optimized core over the whole trace in one delivery. */
+/** Run the optimized core over the whole trace in one delivery, with the
+ *  core-swap fault injected when @p swap_fault is set. */
 uarch::CoreStats
-batchCoreRun(const uarch::CoreConfig &cfg, const std::vector<TraceOp> &trace)
+batchCoreRun(const uarch::CoreConfig &cfg, const std::vector<TraceOp> &trace,
+             bool swap_fault)
 {
     uarch::StreamCore sim(cfg);
+    sim.injectSwapFault(swap_fault);
     sim.onOps(trace.data(), trace.size());
     sim.flush();
     return sim.stats();
@@ -324,12 +327,13 @@ batchCoreRun(const uarch::CoreConfig &cfg, const std::vector<TraceOp> &trace)
  */
 uarch::CoreStats
 fastCoreRun(const uarch::CoreConfig &cfg, const std::vector<TraceOp> &trace,
-            SplitMix64 &rng)
+            SplitMix64 &rng, bool swap_fault)
 {
     if (rng.chance(1, 2)) {
-        return batchCoreRun(cfg, trace);
+        return batchCoreRun(cfg, trace, swap_fault);
     }
     uarch::StreamCore sim(cfg);
+    sim.injectSwapFault(swap_fault);
     size_t pos = 0;
     while (pos < trace.size()) {
         size_t n = std::min<size_t>(trace.size() - pos,
@@ -873,8 +877,9 @@ Fuzzer::runCoreCase(uint64_t seed, Divergence &out)
     const std::vector<TraceOp> trace = trace::synthFuzzTrace(rng.fork(),
                                                              max_ops);
 
+    const bool swap_fault = options_.inject == Fault::CoreSwap;
     const uarch::CoreStats ref = refCoreRun(cfg, trace, options_.inject);
-    const uarch::CoreStats fast = fastCoreRun(cfg, trace, rng);
+    const uarch::CoreStats fast = fastCoreRun(cfg, trace, rng, swap_fault);
     std::string diff = diffStats(ref, fast);
     if (diff.empty()) {
         return false;
@@ -886,9 +891,10 @@ Fuzzer::runCoreCase(uint64_t seed, Divergence &out)
     out.shrunkOps = trace.size();
     if (options_.shrink && trace.size() <= 150'000) {
         const Fault inject = options_.inject;
-        auto still_fails = [&cfg, inject](const std::vector<TraceOp> &t) {
+        auto still_fails = [&cfg, inject,
+                            swap_fault](const std::vector<TraceOp> &t) {
             return !diffStats(refCoreRun(cfg, t, inject),
-                              batchCoreRun(cfg, t))
+                              batchCoreRun(cfg, t, swap_fault))
                         .empty();
         };
         // The shrunk predicate uses the batch fast path; re-check the
@@ -898,7 +904,7 @@ Fuzzer::runCoreCase(uint64_t seed, Divergence &out)
                 ddminShrink(trace, still_fails, 200);
             out.shrunkOps = small.size();
             diff = diffStats(refCoreRun(cfg, small, inject),
-                             batchCoreRun(cfg, small));
+                             batchCoreRun(cfg, small, swap_fault));
         }
     }
     out.detail = "CoreStats mismatch (" + std::to_string(trace.size()) +

@@ -25,6 +25,7 @@ faultName(Fault fault)
       case Fault::ProbeQuiet: return "probe-quiet";
       case Fault::HpelEdge: return "hpel-edge";
       case Fault::DctOdd: return "dct-odd";
+      case Fault::CoreSwap: return "core-swap";
     }
     return "?";
 }
@@ -36,7 +37,8 @@ parseFault(const std::string &name, Fault &out)
                     Fault::BpredAlloc, Fault::KernelsSad, Fault::StoreBit,
                     Fault::ParallelDrop, Fault::BackendEnergy,
                     Fault::TraceFileDelta, Fault::LadderHull,
-                    Fault::ProbeQuiet, Fault::HpelEdge, Fault::DctOdd}) {
+                    Fault::ProbeQuiet, Fault::HpelEdge, Fault::DctOdd,
+                    Fault::CoreSwap}) {
         if (name == faultName(f)) {
             out = f;
             return true;

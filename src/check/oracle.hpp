@@ -65,6 +65,9 @@ enum class Fault {
                     ///< the plane read zero.
     DctOdd,         ///< The matrix DCT reference adds one odd-part term
                     ///< (basis row 1, input 0) with the wrong sign.
+    CoreSwap,       ///< The core under test skips the entry an issue
+                    ///< swaps into the freed RS position for the rest
+                    ///< of the cycle (StreamCore::injectSwapFault).
 };
 
 /** CLI name of a fault ("cache-lru", ...; "none" for Fault::None). */

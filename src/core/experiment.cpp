@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <charconv>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <mutex>
@@ -110,6 +111,35 @@ parseIntStrict(const std::string &text, const std::string &flag)
     // std::stoi would silently accept it.
     if (ec != std::errc() || ptr != last || text.empty()) {
         throw std::invalid_argument(flag + " expects an integer, got '" +
+                                    text + "'");
+    }
+    return value;
+}
+
+uint64_t
+parseU64Strict(const std::string &text, const std::string &flag)
+{
+    uint64_t value = 0;
+    const char *first = text.data();
+    const char *last = first + text.size();
+    auto [ptr, ec] = std::from_chars(first, last, value);
+    if (ec != std::errc() || ptr != last || text.empty()) {
+        throw std::invalid_argument(
+            flag + " expects an unsigned integer, got '" + text + "'");
+    }
+    return value;
+}
+
+double
+parseDoubleStrict(const std::string &text, const std::string &flag)
+{
+    double value = 0.0;
+    const char *first = text.data();
+    const char *last = first + text.size();
+    auto [ptr, ec] = std::from_chars(first, last, value);
+    if (ec != std::errc() || ptr != last || text.empty() ||
+        !std::isfinite(value)) {
+        throw std::invalid_argument(flag + " expects a number, got '" +
                                     text + "'");
     }
     return value;

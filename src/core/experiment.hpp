@@ -10,6 +10,7 @@
  */
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -90,6 +91,20 @@ struct RunScale {
  * (with @p flag naming the offender).
  */
 int parseIntStrict(const std::string &text, const std::string &flag);
+
+/**
+ * Strict decimal parse of an entire string as an unsigned 64-bit value:
+ * no sign, no trailing characters, no wrap ("-1" is an error, not
+ * 2^64 - 1). @throws std::invalid_argument otherwise.
+ */
+uint64_t parseU64Strict(const std::string &text, const std::string &flag);
+
+/**
+ * Strict parse of an entire string as a finite double ("600", "0.26",
+ * "1e3"). Trailing characters ("600abc", "90s"), leading blanks, "inf"
+ * and "nan" are errors. @throws std::invalid_argument otherwise.
+ */
+double parseDoubleStrict(const std::string &text, const std::string &flag);
 
 /** The CRF sweep points used throughout the paper's Section 4. */
 const std::vector<int> &crfSweepAv1();   ///< {10, 20, 30, 40, 50, 60}

@@ -42,13 +42,8 @@ parseRungMix(const std::string &text)
         TrafficConfig::RungShare share;
         share.scale =
             core::parseIntStrict(item.substr(0, colon), "--rung-mix scale");
-        const std::string weight_text = item.substr(colon + 1);
-        size_t consumed = 0;
-        share.weight = std::stod(weight_text, &consumed);
-        if (consumed != weight_text.size()) {
-            throw std::invalid_argument(
-                "--rung-mix: bad weight '" + weight_text + "'");
-        }
+        share.weight = core::parseDoubleStrict(item.substr(colon + 1),
+                                               "--rung-mix weight");
         if (share.scale < 1) {
             throw std::invalid_argument("--rung-mix scales must be >= 1");
         }
@@ -188,13 +183,22 @@ parseServeCli(const std::vector<std::string> &args)
     try {
         for (const auto &[flag, v] : seen) {
             if (flag == "--seed") {
-                cli.scenario.traffic.seed = std::stoull(v);
+                cli.scenario.traffic.seed = core::parseU64Strict(v, flag);
             } else if (flag == "--users") {
                 cli.scenario.traffic.users = core::parseIntStrict(v, flag);
             } else if (flag == "--uploads-per-hour") {
-                cli.scenario.traffic.uploadsPerUserPerHour = std::stod(v);
+                const double rate = core::parseDoubleStrict(v, flag);
+                if (rate < 0.0) {
+                    throw std::invalid_argument(
+                        "--uploads-per-hour must be >= 0");
+                }
+                cli.scenario.traffic.uploadsPerUserPerHour = rate;
             } else if (flag == "--duration") {
-                cli.scenario.traffic.durationSec = std::stod(v);
+                const double sec = core::parseDoubleStrict(v, flag);
+                if (sec <= 0.0) {
+                    throw std::invalid_argument("--duration must be > 0");
+                }
+                cli.scenario.traffic.durationSec = sec;
             } else if (flag == "--servers") {
                 cli.scenario.farm.servers = core::parseIntStrict(v, flag);
             } else if (flag == "--shards") {
@@ -208,7 +212,12 @@ parseServeCli(const std::vector<std::string> &args)
                 cli.scenario.farm.admissionLimit =
                     static_cast<size_t>(limit);
             } else if (flag == "--latency-target") {
-                cli.scenario.farm.latencyTargetSec = std::stod(v);
+                const double sec = core::parseDoubleStrict(v, flag);
+                if (sec <= 0.0) {
+                    throw std::invalid_argument(
+                        "--latency-target must be > 0");
+                }
+                cli.scenario.farm.latencyTargetSec = sec;
             } else if (flag == "--rung-mix") {
                 cli.scenario.traffic.rungMix = parseRungMix(v);
             } else if (flag == "--backend") {
@@ -219,7 +228,7 @@ parseServeCli(const std::vector<std::string> &args)
                 }
                 cli.scenario.cost.backend = v;
             } else if (flag == "--ghz") {
-                const double ghz = std::stod(v);
+                const double ghz = core::parseDoubleStrict(v, flag);
                 if (ghz <= 0.0) {
                     throw std::invalid_argument("--ghz must be > 0");
                 }

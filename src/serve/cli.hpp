@@ -4,10 +4,12 @@
 /**
  * @file
  * vepro-serve argument parsing, split from main() so tests can drive
- * it. Integer flags go through core::parseIntStrict — "--users 4abc"
- * is a parse error, not a silent 4 (std::stoi would accept it) — and
- * --backend names are validated against the profile registry before
- * any traffic is generated.
+ * it. Numeric flags parse strictly through core::parseIntStrict,
+ * parseU64Strict and parseDoubleStrict — "--users 4abc", "--duration
+ * 600abc" and "--seed -1" are parse errors, not a silent 4, 600 or
+ * 2^64 - 1 (std::stoi, std::stod and std::stoull would accept them) —
+ * and --backend names are validated against the profile registry
+ * before any traffic is generated.
  */
 
 #include <string>

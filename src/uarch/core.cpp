@@ -95,14 +95,14 @@ constexpr std::array<OpInfo, kNumOpClasses> kOpInfo = [] {
     return t;
 }();
 
+/** A fetched op waiting to allocate; built in place in the fetch queue. */
 struct Uop {
-    uint64_t idx = 0;  ///< Global dynamic-op index (foreign ops included).
-    OpClass cls = OpClass::Alu;
-    uint64_t pc = 0;
-    uint64_t addr = 0;
-    uint8_t dep1 = 0;
-    uint8_t dep2 = 0;
-    bool mispred = false;
+    uint64_t idx;  ///< Global dynamic-op index (foreign ops included).
+    uint64_t addr;
+    OpClass cls;
+    uint8_t dep1;
+    uint8_t dep2;
+    bool mispred;
 };
 
 } // namespace
@@ -120,10 +120,10 @@ struct Uop {
  *
  * Scheduling structures (see DESIGN.md §11): the trace window, fetch
  * queue, ROB, and store-drain queue are power-of-two rings; in-flight
- * load completions sit in a binary min-heap (the old implementation
- * re-sorted a deque on every issued load); and the RS rescan reads
- * precomputed port/latency/flags from each entry instead of re-deriving
- * them from the op class every cycle.
+ * load completions sit in a counting ring; the reservation station is a
+ * slot table indexed by op index plus an array giving its position
+ * order; and the issue scan visits only woken entries whose port still
+ * has quota this cycle.
  */
 struct StreamCore::Impl {
     explicit Impl(const CoreConfig &cfg)
@@ -138,7 +138,8 @@ struct StreamCore::Impl {
         if (cfg.rsSize > static_cast<int>(kMaskWords * 64)) {
             throw std::invalid_argument("Core: rsSize above 256");
         }
-        rs.reserve(static_cast<size_t>(cfg.rsSize));
+        mask_words = std::max<size_t>(
+            1, (static_cast<size_t>(std::max(cfg.rsSize, 0)) + 63) / 64);
         // The completion ring must reach past the slowest possible
         // data access so a future slot is never reused before it fires.
         const int worst_lat =
@@ -150,7 +151,7 @@ struct StreamCore::Impl {
         }
         load_done_cnt.assign(load_ring, 0);
         load_ring_mask = load_ring - 1;
-        pos_by_idx.assign(kCompleteRing, 0);
+        slots.assign(kCompleteRing, RsEntry{});
         cal_head.assign(kCalRing, kPending);
         cal_next.assign(kCompleteRing, kPending);
         waiter_head.assign(kWaitRing, kPending);
@@ -196,18 +197,27 @@ struct StreamCore::Impl {
     };
     Ring<RobEntry> rob;
     size_t rob_cap = 0;
+    static constexpr size_t kMaskWords = 4;  // supports rsSize <= 256
+    /**
+     * One reservation-station entry, kept in `slots` at its op index
+     * modulo kCompleteRing: the live window is bounded by the ROB, far
+     * below the ring, so two live entries never share a slot. Entries
+     * stay put from allocation to issue; only their position changes.
+     */
     struct RsEntry {
-        uint64_t idx;
         uint64_t addr;
-        uint64_t alloc_cycle;
         /**
-         * Cycle at which both producers have completed, or kPending if a
-         * producer has not issued yet. Completion-ring slots referenced
-         * by a live entry are never overwritten (the ROB window is far
-         * smaller than the ring), so once resolved the value a live read
-         * would return can never change and caching it is exact.
+         * First cycle the entry may issue: max(ready, alloc_cycle + 1),
+         * where ready is the cycle both producers complete. While a
+         * producer has not issued it holds alloc_cycle + 1 and the
+         * entry is not filed, so nothing reads it. Completion-ring
+         * slots referenced by a live entry are never overwritten (the
+         * ROB window is far smaller than the ring), so once resolved
+         * the value a live read would return can never change and
+         * caching it is exact.
          */
-        uint64_t ready_at;
+        uint64_t wake_at;
+        uint32_t pos;  ///< Index into `order` while the entry is live.
         uint8_t dep1;
         uint8_t dep2;
         uint8_t port;
@@ -216,7 +226,16 @@ struct StreamCore::Impl {
         bool load;
         bool mispred;
     };
-    std::vector<RsEntry> rs;
+    std::vector<RsEntry> slots;
+    /**
+     * The station's position order: order[p] is the op index of the
+     * entry at position p, for p < rs_n. Allocation appends; an issue
+     * swap-removes, moving only the last index into the freed position.
+     * Position order decides who wins a contended port, exactly as the
+     * vector of entries it replaces did.
+     */
+    std::array<uint64_t, kMaskWords * 64> order{};
+    size_t rs_n = 0;
     /**
      * Event-driven wakeup, so the issue scan touches only entries that
      * can actually issue instead of walking the whole station every
@@ -224,27 +243,29 @@ struct StreamCore::Impl {
      *
      *  - `cal`, a calendar ring bucketed by cycle: when an entry's ready
      *    time becomes known (at allocation, or when its last producer
-     *    issues), its op index is filed under
-     *    max(ready_at, alloc_cycle + 1). Times beyond the ring period
+     *    issues), its op index is filed under its wake_at, or one
+     *    cycle ahead if that has passed. Times beyond the ring period
      *    simply re-file on fire, so the ring size is a performance
      *    knob, not a correctness bound.
      *  - `eligible`, a bitmask over RS *positions*: set when the
      *    calendar fires, cleared on issue. Port-starved entries keep
      *    their bit and retry next cycle, exactly like the full scan.
-     *  - `pending`, a bitmask of entries whose ready time is unknown
-     *    (some producer unissued). Producers complete only by issuing,
-     *    so these are re-resolved only after scans that issued.
+     *  - `port_pos`, one position mask per execution port. The scan
+     *    walks `eligible & open`, where `open` drops the positions of
+     *    every port whose quota is spent this cycle, so it never visits
+     *    a port-starved entry — visiting one had no effect.
      *
-     * Scanning ascending set bits of `eligible` visits entries in
-     * vector order, and issues swap-remove both the vector and the mask
-     * bits, so the visit order — which decides who wins a contended
-     * port — is exactly the full scan's. A cycle with no set bits
-     * provably issues nothing and skips the scan outright.
+     * Scanning ascending set bits visits entries in position order, and
+     * issues swap-remove the order array and every mask bit together,
+     * so the visit order — which decides who wins a contended port — is
+     * exactly the full scan's. A cycle with no set bits provably issues
+     * nothing and skips the scan outright.
      */
     static constexpr size_t kCalRing = 512;
-    static constexpr size_t kMaskWords = 4;  // supports rsSize <= 256
-    std::array<uint64_t, kMaskWords> eligible{}, pending{};
-    std::vector<uint32_t> pos_by_idx;  ///< RS position of op idx (mod ring)
+    using Mask = std::array<uint64_t, kMaskWords>;
+    Mask eligible{};
+    std::array<Mask, kNumPorts> port_pos{};
+    size_t mask_words = kMaskWords;  ///< Words that cover rsSize.
     /**
      * Calendar buckets as intrusive lists: cal_head[t & mask] chains op
      * indices through cal_next[idx % kCompleteRing] — an entry sits in
@@ -271,39 +292,40 @@ struct StreamCore::Impl {
     std::vector<uint64_t> waiter_head;  // producer slot -> first waiter idx
     std::vector<uint64_t> wnext1, wnext2;  // waiter idx -> next, per dep
 
+    /** See StreamCore::injectSwapFault(). */
+    bool swap_fault = false;
+
     void schedule(uint64_t idx, uint64_t t)
     {
         uint64_t &head = cal_head[t & (kCalRing - 1)];
         cal_next[idx % kCompleteRing] = head;
         head = idx;
     }
-    static bool maskTest(const std::array<uint64_t, kMaskWords> &m,
-                         size_t pos)
+    static bool maskTest(const Mask &m, size_t pos)
     {
         return (m[pos >> 6] >> (pos & 63)) & 1;
     }
-    static void maskSet(std::array<uint64_t, kMaskWords> &m, size_t pos)
+    static void maskSet(Mask &m, size_t pos)
     {
         m[pos >> 6] |= 1ull << (pos & 63);
     }
-    static void maskClear(std::array<uint64_t, kMaskWords> &m, size_t pos)
+    static void maskClear(Mask &m, size_t pos)
     {
         m[pos >> 6] &= ~(1ull << (pos & 63));
     }
-    /** First set bit at position >= @p from, or SIZE_MAX. */
-    static size_t maskFirstFrom(const std::array<uint64_t, kMaskWords> &m,
-                                size_t from)
+    /** First position >= @p from set in both @p a and @p b, or SIZE_MAX. */
+    size_t firstOf(const Mask &a, const Mask &b, size_t from) const
     {
         size_t w = from >> 6;
-        if (w >= kMaskWords) {
+        if (w >= mask_words) {
             return SIZE_MAX;
         }
-        uint64_t bits = m[w] & (~0ull << (from & 63));
+        uint64_t bits = a[w] & b[w] & (~0ull << (from & 63));
         while (bits == 0) {
-            if (++w >= kMaskWords) {
+            if (++w >= mask_words) {
                 return SIZE_MAX;
             }
-            bits = m[w];
+            bits = a[w] & b[w];
         }
         return w * 64 + static_cast<size_t>(__builtin_ctzll(bits));
     }
@@ -352,6 +374,7 @@ struct StreamCore::Impl {
 
     void pushBlock(const TraceOp *ops, size_t n);
     void stepCycle();
+    void issue();
     void finish();
     void resetStats();
 };
@@ -377,6 +400,101 @@ StreamCore::Impl::pushBlock(const TraceOp *ops, size_t n)
             buf.pop_front(static_cast<size_t>(pos - base));
             base = pos;
         }
+    }
+}
+
+/**
+ * Issue woken entries in position order, each taking one unit of its
+ * port's quota, and swap-remove them from the station.
+ */
+void
+StreamCore::Impl::issue()
+{
+    int port_free[kNumPorts];
+    Mask open;
+    open.fill(~0ull);
+    for (int p = 0; p < kNumPorts; ++p) {
+        port_free[p] = port_quota[p];
+        if (port_free[p] <= 0) {
+            for (size_t w = 0; w < mask_words; ++w) {
+                open[w] &= ~port_pos[p][w];
+            }
+        }
+    }
+    size_t i = firstOf(eligible, open, 0);
+    while (i != SIZE_MAX) {
+        const uint64_t idx = order[i];
+        const RsEntry &e = slots[idx % kCompleteRing];
+        if (--port_free[e.port] == 0) {
+            // The port is spent: its other entries are starved for the
+            // rest of this cycle, so the scan stops seeing them.
+            for (size_t w = 0; w < mask_words; ++w) {
+                open[w] &= ~port_pos[e.port][w];
+            }
+        }
+        uint64_t done;
+        if (e.load) {
+            int lat = mem.dataAccess(e.addr, false);
+            done = cycle + static_cast<uint64_t>(lat);
+            ++load_done_cnt[done & load_ring_mask];
+            ++loads_outstanding;
+            load_max = std::max(load_max, done);
+        } else {
+            done = cycle + e.latency;
+        }
+        complete[idx % kCompleteRing] = done;
+        if (e.mispred) {
+            redirect_until =
+                done + static_cast<uint64_t>(config.mispredictPenalty);
+            pending_redirect = false;
+        }
+        // Wake the consumers chained on this producer; those whose
+        // last producer this was are now resolved — file them.
+        uint64_t wi = waiter_head[idx & (kWaitRing - 1)];
+        waiter_head[idx & (kWaitRing - 1)] = kPending;
+        while (wi != kPending) {
+            RsEntry &c = slots[wi % kCompleteRing];
+            const uint64_t next = (c.dep1 != 0 && wi - c.dep1 == idx)
+                                      ? wnext1[wi & (kWaitRing - 1)]
+                                      : wnext2[wi & (kWaitRing - 1)];
+            if (--c.wait_cnt == 0) {
+                uint64_t r = 0;
+                if (c.dep1 != 0 && wi >= c.dep1) {
+                    r = complete[(wi - c.dep1) % kCompleteRing];
+                }
+                if (c.dep2 != 0 && wi >= c.dep2) {
+                    r = std::max(r,
+                                 complete[(wi - c.dep2) % kCompleteRing]);
+                }
+                c.wake_at = std::max(r, c.wake_at);
+                schedule(wi, std::max(r, cycle + 1));
+            }
+            wi = next;
+        }
+        // Swap-remove: the last entry's index and mask bits move into
+        // position i, and the scan re-examines i, exactly as the full
+        // scan over a vector of entries would.
+        maskClear(eligible, i);
+        maskClear(port_pos[e.port], i);
+        const size_t last = --rs_n;
+        if (i != last) {
+            const uint64_t moved = order[last];
+            RsEntry &m = slots[moved % kCompleteRing];
+            order[i] = moved;
+            m.pos = static_cast<uint32_t>(i);
+            maskClear(port_pos[m.port], last);
+            maskSet(port_pos[m.port], i);
+            if (port_free[m.port] > 0) {
+                maskSet(open, i);
+            } else {
+                maskClear(open, i);
+            }
+            if (maskTest(eligible, last)) {
+                maskClear(eligible, last);
+                maskSet(eligible, i);
+            }
+        }
+        i = firstOf(eligible, open, swap_fault ? i + 1 : i);
     }
 }
 
@@ -429,101 +547,24 @@ StreamCore::Impl::stepCycle()
             while (wake != kPending) {
                 // Read the link before handling: a re-file overwrites it.
                 const uint64_t next = cal_next[wake % kCompleteRing];
-                const uint32_t p = pos_by_idx[wake % kCompleteRing];
-                if (p < rs.size() && rs[p].idx == wake) {
-                    const RsEntry &e = rs[p];
-                    uint64_t t = std::max(e.ready_at, e.alloc_cycle + 1);
-                    if (t > cycle) {
-                        schedule(wake, t);  // calendar wrap
+                const RsEntry &e = slots[wake % kCompleteRing];
+                if (e.pos < rs_n && order[e.pos] == wake) {
+                    if (e.wake_at > cycle) {
+                        schedule(wake, e.wake_at);  // calendar wrap
                     } else {
-                        maskSet(eligible, p);
+                        maskSet(eligible, e.pos);
                     }
                 }
                 wake = next;
             }
         }
     }
-    if ((eligible[0] | eligible[1] | eligible[2] | eligible[3]) != 0) {
-        int port_free[kNumPorts];
-        for (int p = 0; p < kNumPorts; ++p) {
-            port_free[p] = port_quota[p];
-        }
-        size_t i = maskFirstFrom(eligible, 0);
-        while (i < rs.size()) {
-            RsEntry &e = rs[i];
-            int &port = port_free[e.port];
-            if (port <= 0) {
-                // Port-starved: the bit stays set, retry next cycle.
-                i = maskFirstFrom(eligible, i + 1);
-                continue;
-            }
-            --port;
-            uint64_t done;
-            if (e.load) {
-                int lat = mem.dataAccess(e.addr, false);
-                done = cycle + static_cast<uint64_t>(lat);
-                ++load_done_cnt[done & load_ring_mask];
-                ++loads_outstanding;
-                load_max = std::max(load_max, done);
-            } else {
-                done = cycle + e.latency;
-            }
-            complete[e.idx % kCompleteRing] = done;
-            if (e.mispred) {
-                redirect_until =
-                    done + static_cast<uint64_t>(config.mispredictPenalty);
-                pending_redirect = false;
-            }
-            // Wake the consumers chained on this producer; those whose
-            // last producer this was are now resolved — file them.
-            uint64_t wi = waiter_head[e.idx & (kWaitRing - 1)];
-            waiter_head[e.idx & (kWaitRing - 1)] = kPending;
-            while (wi != kPending) {
-                const size_t wp = pos_by_idx[wi % kCompleteRing];
-                RsEntry &c = rs[wp];
-                const uint64_t next =
-                    (c.dep1 != 0 && wi - c.dep1 == e.idx)
-                        ? wnext1[wi & (kWaitRing - 1)]
-                        : wnext2[wi & (kWaitRing - 1)];
-                if (--c.wait_cnt == 0) {
-                    uint64_t r = 0;
-                    if (c.dep1 != 0 && wi >= c.dep1) {
-                        r = complete[(wi - c.dep1) % kCompleteRing];
-                    }
-                    if (c.dep2 != 0 && wi >= c.dep2) {
-                        r = std::max(
-                            r, complete[(wi - c.dep2) % kCompleteRing]);
-                    }
-                    c.ready_at = r;
-                    maskClear(pending, wp);
-                    schedule(wi, std::max(r, cycle + 1));
-                }
-                wi = next;
-            }
-            // Swap-remove the vector and both masks together; the
-            // swapped-in entry is re-examined at this position, exactly
-            // as the full scan would.
-            const size_t last = rs.size() - 1;
-            const bool el = maskTest(eligible, last);
-            const bool pe = maskTest(pending, last);
-            maskClear(eligible, last);
-            maskClear(pending, last);
-            maskClear(eligible, i);
-            maskClear(pending, i);
-            if (i != last) {
-                rs[i] = rs[last];
-                pos_by_idx[rs[i].idx % kCompleteRing] =
-                    static_cast<uint32_t>(i);
-                if (el) {
-                    maskSet(eligible, i);
-                }
-                if (pe) {
-                    maskSet(pending, i);
-                }
-            }
-            rs.pop_back();
-            i = maskFirstFrom(eligible, i);
-        }
+    uint64_t any = 0;
+    for (size_t w = 0; w < mask_words; ++w) {
+        any |= eligible[w];
+    }
+    if (any != 0) {
+        issue();
     }
 
     // ---- Allocate (width slots; classify every lost slot) -------
@@ -533,7 +574,7 @@ StreamCore::Impl::stepCycle()
         const Uop &u = fetchq.front();
         const OpInfo &info = kOpInfo[static_cast<size_t>(u.cls)];
         bool rob_full = rob.size() >= rob_cap;
-        bool rs_full = rs.size() >= static_cast<size_t>(config.rsSize);
+        bool rs_full = rs_n >= static_cast<size_t>(config.rsSize);
         bool lb_full = info.load && lb_count >= config.loadBufSize;
         bool sb_full = info.store && sb_count >= config.storeBufSize;
         if (rob_full || rs_full || lb_full || sb_full) {
@@ -551,8 +592,12 @@ StreamCore::Impl::stepCycle()
             }
             break;
         }
-        complete[u.idx % kCompleteRing] = kPending;
-        rob.push_back({u.idx, u.addr, info.store});
+        const uint64_t idx = u.idx;
+        complete[idx % kCompleteRing] = kPending;
+        RobEntry &re = rob.emplace_back();
+        re.idx = idx;
+        re.addr = u.addr;
+        re.store = info.store;
         // Resolve the entry's ready time now if both producers have
         // already issued; otherwise chain it onto each unissued
         // producer's waiter list — the last producer's issue files it.
@@ -560,38 +605,46 @@ StreamCore::Impl::stepCycle()
         // A doubled dependency is a single producer: register it once.
         const uint8_t dep2 = u.dep2 != dep1 ? u.dep2 : 0;
         uint64_t d1 = 0, d2 = 0;
-        if (dep1 != 0 && u.idx >= dep1) {
-            d1 = complete[(u.idx - dep1) % kCompleteRing];
+        if (dep1 != 0 && idx >= dep1) {
+            d1 = complete[(idx - dep1) % kCompleteRing];
         }
-        if (dep2 != 0 && u.idx >= dep2) {
-            d2 = complete[(u.idx - dep2) % kCompleteRing];
+        if (dep2 != 0 && idx >= dep2) {
+            d2 = complete[(idx - dep2) % kCompleteRing];
         }
-        const size_t rs_pos = rs.size();
-        pos_by_idx[u.idx % kCompleteRing] = static_cast<uint32_t>(rs_pos);
-        uint8_t wait_cnt = 0;
-        uint64_t r;
+        const size_t rs_pos = rs_n++;
+        order[rs_pos] = idx;
+        maskSet(port_pos[info.port], rs_pos);
+        RsEntry &e = slots[idx % kCompleteRing];
+        e.addr = u.addr;
+        e.pos = static_cast<uint32_t>(rs_pos);
+        e.dep1 = u.dep1;
+        e.dep2 = u.dep2;
+        e.port = info.port;
+        e.latency = info.latency;
+        e.load = info.load;
+        e.mispred = u.mispred;
         if (d1 != kPending && d2 != kPending) {
-            r = std::max(d1, d2);
-            schedule(u.idx, std::max(r, cycle + 1));
+            e.wake_at = std::max({d1, d2, cycle + 1});
+            e.wait_cnt = 0;
+            schedule(idx, e.wake_at);
         } else {
-            r = kPending;
-            maskSet(pending, rs_pos);
-            const size_t wslot = u.idx & (kWaitRing - 1);
+            e.wake_at = cycle + 1;
+            uint8_t wait_cnt = 0;
+            const size_t wslot = idx & (kWaitRing - 1);
             if (d1 == kPending) {
-                const size_t p1 = (u.idx - dep1) & (kWaitRing - 1);
+                const size_t p1 = (idx - dep1) & (kWaitRing - 1);
                 wnext1[wslot] = waiter_head[p1];
-                waiter_head[p1] = u.idx;
+                waiter_head[p1] = idx;
                 ++wait_cnt;
             }
             if (d2 == kPending) {
-                const size_t p2 = (u.idx - dep2) & (kWaitRing - 1);
+                const size_t p2 = (idx - dep2) & (kWaitRing - 1);
                 wnext2[wslot] = waiter_head[p2];
-                waiter_head[p2] = u.idx;
+                waiter_head[p2] = idx;
                 ++wait_cnt;
             }
+            e.wait_cnt = wait_cnt;
         }
-        rs.push_back({u.idx, u.addr, cycle, r, u.dep1, u.dep2, info.port,
-                      info.latency, wait_cnt, info.load, u.mispred});
         if (info.load) {
             ++lb_count;
         }
@@ -651,13 +704,7 @@ StreamCore::Impl::stepCycle()
                     break;
                 }
             }
-            Uop u;
-            u.idx = pos;
-            u.cls = top.cls;
-            u.pc = top.pc;
-            u.addr = top.addr;
-            u.dep1 = top.dep1;
-            u.dep2 = top.dep2;
+            bool mispred = false;
             bool stop_fetch = false;
             if (top.cls == OpClass::BranchCond) {
                 bool pred = predictor->predict(top.pc);
@@ -665,7 +712,7 @@ StreamCore::Impl::stepCycle()
                 ++stats.condBranches;
                 if (pred != top.taken) {
                     ++stats.mispredicts;
-                    u.mispred = true;
+                    mispred = true;
                     pending_redirect = true;
                     stop_fetch = true;
                 } else if (top.taken) {
@@ -674,12 +721,18 @@ StreamCore::Impl::stepCycle()
             } else if (top.cls == OpClass::BranchUncond) {
                 stop_fetch = true;
             }
-            fetchq.push_back(u);
+            Uop &u = fetchq.emplace_back();
+            u.idx = pos;
+            u.addr = top.addr;
+            u.cls = top.cls;
+            u.dep1 = top.dep1;
+            u.dep2 = top.dep2;
+            u.mispred = mispred;
             ++pos;
             --nf_avail;
             ++fetched;
             if (stop_fetch) {
-                if (config.takenBranchBubble > 0 && !u.mispred) {
+                if (config.takenBranchBubble > 0 && !mispred) {
                     icache_until = std::max(
                         icache_until,
                         cycle +
@@ -691,9 +744,10 @@ StreamCore::Impl::stepCycle()
     }
 
     // Consume trailing foreign ops so the run terminates even when
-    // the trace ends with them.
-    while (pos < end() && at(pos).foreign && fetchq.empty() &&
-           rob.empty()) {
+    // the trace ends with them. The pipeline tests come first: they
+    // fail on almost every cycle, and need no read of the window.
+    while (fetchq.empty() && rob.empty() && pos < end() &&
+           at(pos).foreign) {
         mem.remoteStore(at(pos).addr);
         ++pos;
     }
@@ -779,6 +833,12 @@ StreamCore::onOps(const trace::TraceOp *ops, size_t n)
 }
 
 void
+StreamCore::onBlock(trace::TraceBlock &&block)
+{
+    onOps(block.ops.data(), block.ops.size());
+}
+
+void
 StreamCore::flush()
 {
     impl_->finish();
@@ -803,6 +863,12 @@ const CoreStats &
 StreamCore::stats() const
 {
     return impl_->stats;
+}
+
+void
+StreamCore::injectSwapFault(bool on)
+{
+    impl_->swap_fault = on;
 }
 
 void

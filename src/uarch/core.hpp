@@ -181,6 +181,9 @@ class StreamCore final : public trace::TraceSink
      */
     void onOp(const trace::TraceOp &op) override;
     void onOps(const trace::TraceOp *ops, size_t n) override;
+    /** The block's ops in one span; its branch and kernel events carry
+     *  nothing the core reads. */
+    void onBlock(trace::TraceBlock &&block) override;
 
     /** End of trace: drain the pipeline and finalise stats(). */
     void flush() override;
@@ -201,6 +204,14 @@ class StreamCore final : public trace::TraceSink
 
     /** The simulation results; valid once flush() has run. */
     const CoreStats &stats() const;
+
+    /**
+     * Test seam for vepro-check's `core-swap` fault: after an issue
+     * swap-removes an entry, the issue scan resumes past the freed
+     * position, so the entry swapped into it is not re-examined that
+     * cycle. Never enabled outside the harness self-test.
+     */
+    void injectSwapFault(bool on);
 
   private:
     struct Impl;

@@ -31,6 +31,7 @@ class Ring
             cap *= 2;
         }
         slots_.resize(cap);
+        mask_ = cap - 1;
     }
 
     bool empty() const { return size_ == 0; }
@@ -56,6 +57,20 @@ class Ring
         }
         slots_[(head_ + size_) & mask()] = v;
         ++size_;
+    }
+
+    /**
+     * Append one slot and return it for the caller to fill in place.
+     * The slot keeps whatever an earlier element left there, so the
+     * caller assigns every field it will read back.
+     */
+    T &
+    emplace_back()
+    {
+        if (size_ == slots_.size()) {
+            grow(size_ + 1);
+        }
+        return slots_[(head_ + size_++) & mask()];
     }
 
     /** Append @p n elements in at most two contiguous copies. */
@@ -87,7 +102,7 @@ class Ring
     }
 
   private:
-    size_t mask() const { return slots_.size() - 1; }
+    size_t mask() const { return mask_; }
 
     void
     grow(size_t need)
@@ -101,10 +116,12 @@ class Ring
             next[i] = slots_[(head_ + i) & mask()];
         }
         slots_.swap(next);
+        mask_ = cap - 1;
         head_ = 0;
     }
 
     std::vector<T> slots_;
+    size_t mask_ = 0;  ///< slots_.size() - 1, kept beside the index math.
     size_t head_ = 0;
     size_t size_ = 0;
 };

@@ -61,7 +61,7 @@ TEST(CheckNames, FaultNamesRoundTrip)
                             Fault::ParallelDrop,   Fault::BackendEnergy,
                             Fault::TraceFileDelta, Fault::LadderHull,
                             Fault::ProbeQuiet,     Fault::HpelEdge,
-                            Fault::DctOdd};
+                            Fault::DctOdd,         Fault::CoreSwap};
     for (Fault f : faults) {
         Fault back = Fault::None;
         ASSERT_TRUE(parseFault(faultName(f), back)) << faultName(f);
@@ -120,6 +120,7 @@ TEST(CheckInjection, EveryFaultIsCaught)
         {Fault::ProbeQuiet, Target::Probe},
         {Fault::HpelEdge, Target::Kernels},
         {Fault::DctOdd, Target::Kernels},
+        {Fault::CoreSwap, Target::Core},
     };
     for (const FaultCase &fc : cases) {
         SCOPED_TRACE(faultName(fc.fault));

@@ -159,6 +159,26 @@ TEST(ParseIntStrict, AcceptsWholeIntegersOnly)
     }
 }
 
+TEST(ParseStrict, U64AndDoubleTakeWholeValuesOnly)
+{
+    EXPECT_EQ(parseU64Strict("0", "--n"), 0u);
+    EXPECT_EQ(parseU64Strict("18446744073709551615", "--n"),
+              18446744073709551615ULL);
+    for (const char *bad :
+         {"", "-1", "+1", "4abc", "1.5", " 2", "18446744073709551616"}) {
+        EXPECT_THROW(parseU64Strict(bad, "--n"), std::invalid_argument)
+            << "'" << bad << "'";
+    }
+    EXPECT_DOUBLE_EQ(parseDoubleStrict("600", "--x"), 600.0);
+    EXPECT_DOUBLE_EQ(parseDoubleStrict("-0.25", "--x"), -0.25);
+    EXPECT_DOUBLE_EQ(parseDoubleStrict("1e3", "--x"), 1000.0);
+    for (const char *bad :
+         {"", "600abc", "90s", " 5", "5 ", "inf", "nan", "1e999", "0x10"}) {
+        EXPECT_THROW(parseDoubleStrict(bad, "--x"), std::invalid_argument)
+            << "'" << bad << "'";
+    }
+}
+
 TEST(RunScale, DefaultSelectsWholeSuite)
 {
     RunScale scale;

@@ -481,6 +481,49 @@ TEST(ServeCli, IntegerFlagsRejectTrailingJunk)
     EXPECT_EQ(ok.jobs, 4);
 }
 
+TEST(ServeCli, RealAndSeedFlagsRejectJunk)
+{
+    // std::stod would read "600abc" as 600 and "90s" as 90, and
+    // std::stoull would wrap "-1" to 2^64 - 1; each must be an error.
+    for (const char *flag :
+         {"--uploads-per-hour", "--duration", "--latency-target", "--ghz"}) {
+        for (const char *bad :
+             {"600abc", "90s", "", " 5", "5 ", "inf", "nan", "1e999"}) {
+            const ServeCli cli = parseServeCli({flag, bad, "--quick"});
+            EXPECT_FALSE(cli.error.empty())
+                << flag << " '" << bad << "' was accepted";
+            EXPECT_NE(cli.error.find(flag), std::string::npos) << cli.error;
+        }
+    }
+    for (const char *bad :
+         {"-1", "12x", "", "1.5", "+3", "18446744073709551616"}) {
+        const ServeCli cli = parseServeCli({"--seed", bad});
+        EXPECT_FALSE(cli.error.empty()) << "--seed '" << bad << "'";
+        EXPECT_NE(cli.error.find("--seed"), std::string::npos) << cli.error;
+    }
+    // Well-formed values that make no sense are refused too.
+    for (const auto &[flag, value] :
+         std::vector<std::pair<const char *, const char *>>{
+             {"--duration", "0"},
+             {"--duration", "-600"},
+             {"--latency-target", "-1"},
+             {"--uploads-per-hour", "-0.5"}}) {
+        EXPECT_FALSE(parseServeCli({flag, value}).error.empty())
+            << flag << " " << value;
+    }
+
+    const ServeCli ok = parseServeCli(
+        {"--seed=18446744073709551615", "--duration=600.5",
+         "--latency-target", "90", "--uploads-per-hour", "1e-1",
+         "--ghz=2.5", "--quick"});
+    ASSERT_TRUE(ok.error.empty()) << ok.error;
+    EXPECT_EQ(ok.scenario.traffic.seed, 18446744073709551615ULL);
+    EXPECT_DOUBLE_EQ(ok.scenario.traffic.durationSec, 600.5);
+    EXPECT_DOUBLE_EQ(ok.scenario.farm.latencyTargetSec, 90.0);
+    EXPECT_DOUBLE_EQ(ok.scenario.traffic.uploadsPerUserPerHour, 0.1);
+    EXPECT_DOUBLE_EQ(ok.scenario.cost.nominalGhz, 2.5);
+}
+
 TEST(ServeCli, JobsZeroAutoDetectsAndNegativeIsAnError)
 {
     // Same meaning as vepro-lab's --jobs: 0 = one worker per hardware
