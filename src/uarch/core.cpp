@@ -220,7 +220,6 @@ struct StreamCore::Impl {
         uint32_t pos;  ///< Index into `order` while the entry is live.
         uint8_t dep1;
         uint8_t dep2;
-        uint8_t port;
         uint8_t latency;
         uint8_t wait_cnt;  ///< Producers not yet issued (0 when resolved)
         bool load;
@@ -235,6 +234,7 @@ struct StreamCore::Impl {
      * vector of entries it replaces did.
      */
     std::array<uint64_t, kMaskWords * 64> order{};
+    std::array<uint8_t, kMaskWords * 64> order_port{};  ///< Port by position.
     size_t rs_n = 0;
     /**
      * Event-driven wakeup, so the issue scan touches only entries that
@@ -424,12 +424,13 @@ StreamCore::Impl::issue()
     size_t i = firstOf(eligible, open, 0);
     while (i != SIZE_MAX) {
         const uint64_t idx = order[i];
+        const uint8_t port = order_port[i];
         const RsEntry &e = slots[idx % kCompleteRing];
-        if (--port_free[e.port] == 0) {
+        if (--port_free[port] == 0) {
             // The port is spent: its other entries are starved for the
             // rest of this cycle, so the scan stops seeing them.
             for (size_t w = 0; w < mask_words; ++w) {
-                open[w] &= ~port_pos[e.port][w];
+                open[w] &= ~port_pos[port][w];
             }
         }
         uint64_t done;
@@ -475,16 +476,17 @@ StreamCore::Impl::issue()
         // position i, and the scan re-examines i, exactly as the full
         // scan over a vector of entries would.
         maskClear(eligible, i);
-        maskClear(port_pos[e.port], i);
+        maskClear(port_pos[port], i);
         const size_t last = --rs_n;
         if (i != last) {
             const uint64_t moved = order[last];
-            RsEntry &m = slots[moved % kCompleteRing];
+            const uint8_t moved_port = order_port[last];
             order[i] = moved;
-            m.pos = static_cast<uint32_t>(i);
-            maskClear(port_pos[m.port], last);
-            maskSet(port_pos[m.port], i);
-            if (port_free[m.port] > 0) {
+            order_port[i] = moved_port;
+            slots[moved % kCompleteRing].pos = static_cast<uint32_t>(i);
+            maskClear(port_pos[moved_port], last);
+            maskSet(port_pos[moved_port], i);
+            if (port_free[moved_port] > 0) {
                 maskSet(open, i);
             } else {
                 maskClear(open, i);
@@ -613,13 +615,13 @@ StreamCore::Impl::stepCycle()
         }
         const size_t rs_pos = rs_n++;
         order[rs_pos] = idx;
+        order_port[rs_pos] = info.port;
         maskSet(port_pos[info.port], rs_pos);
         RsEntry &e = slots[idx % kCompleteRing];
         e.addr = u.addr;
         e.pos = static_cast<uint32_t>(rs_pos);
         e.dep1 = u.dep1;
         e.dep2 = u.dep2;
-        e.port = info.port;
         e.latency = info.latency;
         e.load = info.load;
         e.mispred = u.mispred;
