@@ -183,8 +183,12 @@ TEST(Ring, MatchesDequeModelUnderRandomOps)
         uint64_t stamp = 0;
         for (int step = 0; step < 5000; ++step) {
             switch (rng.below(4)) {
-              case 0: {  // push_back
-                ring.push_back(stamp);
+              case 0: {  // push_back, or emplace_back filled in place
+                if (stamp % 2 == 0) {
+                    ring.push_back(stamp);
+                } else {
+                    ring.emplace_back() = stamp;
+                }
                 model.push_back(stamp);
                 ++stamp;
                 break;
