@@ -318,6 +318,168 @@ TEST(Farm, AdmissionControlRejectsWhenTheQueueIsFull)
     EXPECT_EQ(rejected, r.sla.rejected);
 }
 
+// ---- Farm golden -----------------------------------------------------
+
+/** Golden-farm service seconds: depend on every argument, with
+ *  non-round values so float rounding and dispatch ties are exercised. */
+double
+goldenSeconds(const std::string &backend, const std::string &clip, int crf,
+              int preset)
+{
+    const double base = 9.0 + 3.7 * static_cast<double>(10 - preset) +
+                        0.013 * static_cast<double>(crf) +
+                        1.1 * static_cast<double>(clip.size());
+    return backend == "iron-b" ? base * 0.61 : base;
+}
+
+double
+goldenJoules(const std::string &backend, const std::string &clip, int crf,
+             int preset)
+{
+    return goldenSeconds(backend, clip, crf, preset) *
+               (backend == "iron-b" ? 37.5 : 81.25) +
+           0.3 * static_cast<double>(crf);
+}
+
+class GoldenOracle final : public FleetCostOracle
+{
+  public:
+    double
+    serviceSeconds(const std::string &clip, int crf,
+                   int preset) const override
+    {
+        return goldenSeconds("iron-a", clip, crf, preset);
+    }
+    double
+    serviceSecondsOn(const std::string &backend, const std::string &clip,
+                     int crf, int preset) const override
+    {
+        return goldenSeconds(backend, clip, crf, preset);
+    }
+    double
+    energyJoulesOn(const std::string &backend, const std::string &clip,
+                   int crf, int preset) const override
+    {
+        return goldenJoules(backend, clip, crf, preset);
+    }
+    const std::vector<int> &
+    presetLadder() const override
+    {
+        static const std::vector<int> ladder = {2, 4, 6, 8};
+        return ladder;
+    }
+};
+
+/** FNV-1a over every JobOutcome field, the SlaReport, energy and
+ *  horizon, in declaration order; doubles by bit pattern. */
+uint64_t
+farmDigest(const FarmResult &r)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    const auto bytes = [&h](const void *data, size_t n) {
+        const auto *p = static_cast<const unsigned char *>(data);
+        for (size_t i = 0; i < n; ++i) {
+            h = (h ^ p[i]) * 0x100000001b3ULL;
+        }
+    };
+    const auto u64 = [&](uint64_t v) { bytes(&v, sizeof v); };
+    const auto f64 = [&](double v) { bytes(&v, sizeof v); };
+    const auto str = [&](const std::string &s) {
+        u64(s.size());
+        bytes(s.data(), s.size());
+    };
+    u64(r.outcomes.size());
+    for (const JobOutcome &o : r.outcomes) {
+        u64(o.id);
+        f64(o.arrivalSec);
+        u64(o.rejected ? 1 : 0);
+        u64(static_cast<uint64_t>(o.preset));
+        f64(o.startSec);
+        f64(o.endSec);
+        u64(o.missedDeadline ? 1 : 0);
+        str(o.backend);
+    }
+    const SlaReport &s = r.sla;
+    str(s.policy);
+    u64(s.offered);
+    u64(s.completed);
+    u64(s.rejected);
+    f64(s.p50QueueSec);
+    f64(s.p99QueueSec);
+    f64(s.throughputPerMin);
+    f64(s.deadlineMissRate);
+    u64(s.deadlineMisses);
+    u64(s.presetSwitches);
+    f64(s.meanServiceSec);
+    f64(r.energyJoules);
+    f64(r.horizonSec);
+    return h;
+}
+
+TEST(FarmGolden, OutcomeDigestsArePinned)
+{
+    // Seeded overload traffic through static and adaptive policies, a
+    // one-group and a two-group pool, with and without admission
+    // control. Every field of every outcome is pinned, so a change to
+    // the event loop that moves any dispatch shows here.
+    TrafficConfig traffic;
+    traffic.seed = 11;
+    traffic.users = 1000;
+    traffic.uploadsPerUserPerHour = 0.5;
+    traffic.durationSec = 900.0;
+    traffic.diurnalPeriodSec = 1800.0;
+    const auto arrivals = generateTraffic(traffic);
+    ASSERT_GT(arrivals.size(), 50u);
+
+    const GoldenOracle oracle;
+    const StaticPolicy slow(2), fast(8);
+    const AdaptivePolicy adaptive;
+    const std::vector<ServerGroup> one = {{"iron-a", 3}};
+    const std::vector<ServerGroup> two = {{"iron-a", 2}, {"iron-b", 2}};
+    struct Case {
+        const Policy *policy;
+        const std::vector<ServerGroup> *pool;
+        size_t admission;
+        uint64_t want;
+    };
+    const Case cases[] = {
+        {&slow, &one, 0, 3113808615148836853ULL},
+        {&slow, &one, 6, 17405502289231699097ULL},
+        {&fast, &one, 0, 3105514989522492180ULL},
+        {&fast, &one, 6, 2803549310796740087ULL},
+        {&adaptive, &one, 0, 15640273908548866976ULL},
+        {&adaptive, &one, 6, 2621070681882911415ULL},
+        {&slow, &two, 0, 1399064765417019986ULL},
+        {&slow, &two, 6, 8610532682051255907ULL},
+        {&fast, &two, 0, 6140077781720086614ULL},
+        {&fast, &two, 6, 6140077781720086614ULL},
+        {&adaptive, &two, 0, 1196480842417801575ULL},
+        {&adaptive, &two, 6, 13934314348649813817ULL},
+    };
+    size_t rejected = 0, misses = 0, switches = 0, on_b = 0;
+    for (const Case &c : cases) {
+        FarmConfig config;
+        config.latencyTargetSec = 120.0;
+        config.admissionLimit = c.admission;
+        const FarmResult r =
+            simulateFarm(arrivals, config, *c.policy, oracle, *c.pool);
+        EXPECT_EQ(farmDigest(r), c.want)
+            << c.policy->name() << " on " << c.pool->size()
+            << " group(s), admission " << c.admission;
+        rejected += r.sla.rejected;
+        misses += r.sla.deadlineMisses;
+        switches += r.sla.presetSwitches;
+        for (const JobOutcome &o : r.outcomes) {
+            on_b += o.backend == "iron-b" ? 1 : 0;
+        }
+    }
+    // The cases reach every branch the digests are meant to cover.
+    EXPECT_GT(rejected, 0u);
+    EXPECT_GT(misses, 0u);
+    EXPECT_GT(switches, 0u);
+    EXPECT_GT(on_b, 0u);
+}
+
 // ---- Policies --------------------------------------------------------
 
 TEST(Policy, AdaptivePicksTheSlowestRungThatStillFits)
