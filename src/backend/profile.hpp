@@ -121,6 +121,14 @@ const MachineProfile &profile(const std::string &name);
 const MachineProfile &resolveProfile(const std::string &name_or_empty);
 
 /**
+ * The per-event nJ sum of the energy formula (the file docs' nJ line,
+ * in that order) over @p stats with @p p's weights. The one copy both
+ * energyJoules and serve's full-clip CostModel evaluate.
+ */
+double dynamicNanojoules(const MachineProfile &p,
+                         const uarch::CoreStats &stats);
+
+/**
  * Energy of one measured run on a Kind::Core profile, in joules: the
  * documented per-event + static formula over the counters @p stats
  * already holds. @throws std::invalid_argument for Kind::Fixed.

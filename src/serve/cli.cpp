@@ -76,7 +76,7 @@ serveUsage()
 {
     return "usage: vepro-serve [options]\n"
            "\n"
-           "Encode-farm simulator: seeded upload traffic, EDF queue,\n"
+           "Encode-farm simulator: seeded upload traffic, one EDF queue,\n"
            "static vs speed-adaptive preset policies, SLA table — and\n"
            "with --fleet, $/encode-at-SLA across machine-profile mixes.\n"
            "\n"
@@ -86,7 +86,6 @@ serveUsage()
            "  --uploads-per-hour X   mean uploads per user per hour\n"
            "  --duration SEC         simulated window length\n"
            "  --servers N            farm servers (fleet: servers per mix)\n"
-           "  --shards N             EDF queue shards\n"
            "  --admission N          admission limit (queued jobs; 0 = off)\n"
            "  --latency-target SEC   SLA deadline per job\n"
            "  --rung-mix S:W,..      ABR rung mix as scale:weight pairs\n"
@@ -159,7 +158,7 @@ parseServeCli(const std::vector<std::string> &args)
             (arg == "--quick" ? saw_quick : cli.fleet) = true;
         } else if (arg == "--seed" || arg == "--users" ||
                    arg == "--uploads-per-hour" || arg == "--duration" ||
-                   arg == "--servers" || arg == "--shards" ||
+                   arg == "--servers" ||
                    arg == "--admission" || arg == "--latency-target" ||
                    arg == "--rung-mix" ||
                    arg == "--backend" || arg == "--ghz" ||
@@ -185,7 +184,11 @@ parseServeCli(const std::vector<std::string> &args)
             if (flag == "--seed") {
                 cli.scenario.traffic.seed = core::parseU64Strict(v, flag);
             } else if (flag == "--users") {
-                cli.scenario.traffic.users = core::parseIntStrict(v, flag);
+                const int users = core::parseIntStrict(v, flag);
+                if (users < 0) {
+                    throw std::invalid_argument("--users must be >= 0");
+                }
+                cli.scenario.traffic.users = users;
             } else if (flag == "--uploads-per-hour") {
                 const double rate = core::parseDoubleStrict(v, flag);
                 if (rate < 0.0) {
@@ -200,9 +203,11 @@ parseServeCli(const std::vector<std::string> &args)
                 }
                 cli.scenario.traffic.durationSec = sec;
             } else if (flag == "--servers") {
-                cli.scenario.farm.servers = core::parseIntStrict(v, flag);
-            } else if (flag == "--shards") {
-                cli.scenario.farm.shards = core::parseIntStrict(v, flag);
+                const int servers = core::parseIntStrict(v, flag);
+                if (servers < 1) {
+                    throw std::invalid_argument("--servers must be >= 1");
+                }
+                cli.scenario.farm.servers = servers;
             } else if (flag == "--admission") {
                 const int limit = core::parseIntStrict(v, flag);
                 if (limit < 0) {

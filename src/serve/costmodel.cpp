@@ -99,16 +99,9 @@ CostModel::specFor(const std::string &clip, int crf, int preset) const
 }
 
 void
-CostModel::resolve(const std::vector<std::string> &clips,
+CostModel::resolve(const std::vector<std::string> &backends,
+                   const std::vector<std::string> &clips,
                    const std::vector<int> &crfs)
-{
-    resolveOn({primary_}, clips, crfs);
-}
-
-void
-CostModel::resolveOn(const std::vector<std::string> &backends,
-                     const std::vector<std::string> &clips,
-                     const std::vector<int> &crfs)
 {
     // Per-preset parallel speedup from the encoder's own task graph:
     // one cheap instrumented encode per rung (graph only, no trace),
@@ -215,15 +208,8 @@ CostModel::resolveOn(const std::vector<std::string> &backends,
         // dynamic nanojoules scaled to the full clip, plus static watts
         // over the (parallel) service time the server is occupied.
         const backend::MachineProfile &prof = backend::profile(p.backend);
-        const uarch::CoreStats &s = result.core;
-        const double dynamic_nj =
-            static_cast<double>(s.instructions) * prof.energy.instructionNj +
-            static_cast<double>(s.l1dMisses + s.l1iMisses) *
-                prof.energy.l1MissNj +
-            static_cast<double>(s.l2Misses) * prof.energy.l2MissNj +
-            static_cast<double>(s.llcMisses) * prof.energy.llcMissNj +
-            static_cast<double>(s.mispredicts) * prof.energy.mispredictNj;
-        c.joules = dynamic_nj * scale * 1e-9 +
+        c.joules = backend::dynamicNanojoules(prof, result.core) * scale *
+                       1e-9 +
                    prof.energy.staticWatts * c.seconds;
         costs_[p.key] = c;
     }
@@ -243,32 +229,18 @@ CostModel::costFor(const std::string &backend, const std::string &clip,
 }
 
 double
-CostModel::serviceSeconds(const std::string &clip, int crf,
+CostModel::serviceSeconds(const std::string &backend,
+                          const std::string &clip, int crf,
                           int preset) const
-{
-    return costFor(primary_, clip, crf, preset).seconds;
-}
-
-double
-CostModel::serviceSecondsOn(const std::string &backend,
-                            const std::string &clip, int crf,
-                            int preset) const
 {
     return costFor(backend, clip, crf, preset).seconds;
 }
 
 double
-CostModel::energyJoulesOn(const std::string &backend,
-                          const std::string &clip, int crf,
-                          int preset) const
+CostModel::energyJoules(const std::string &backend, const std::string &clip,
+                        int crf, int preset) const
 {
     return costFor(backend, clip, crf, preset).joules;
-}
-
-double
-CostModel::energyJoules(const std::string &clip, int crf, int preset) const
-{
-    return costFor(primary_, clip, crf, preset).joules;
 }
 
 const std::vector<int> &

@@ -18,7 +18,7 @@
  *
  * Underneath the result store sits the orchestrator's trace cache
  * (lab::TraceCache), keyed by the encode-side spec fields only — the
- * backend is deliberately excluded. A fleet resolveOn() over N
+ * backend is deliberately excluded. A fleet resolve() over N
  * backends therefore runs the instrumented encoder exactly once per
  * (clip, crf, preset): the first backend's spec captures the trace,
  * and the other N-1 replay the same file through their own core
@@ -43,13 +43,11 @@
  * the clip's full-scale 16x16 block count over referenceFrames
  * (setup + blocks * secondsPerBlock), independent of preset and CRF.
  *
- * Energy per encode (energyJoulesOn), evaluated in exactly this
- * order so a warm rerun reproduces the same bytes:
+ * Energy per encode (energyJoules), evaluated in exactly this order
+ * so a warm rerun reproduces the same bytes:
  *
- *     dynamic = (instructions*instructionNj
- *                + (l1dMisses + l1iMisses)*l1MissNj
- *                + l2Misses*l2MissNj + llcMisses*llcMissNj
- *                + mispredicts*mispredictNj) * scale * 1e-9
+ *     dynamic = backend::dynamicNanojoules(profile, stats)
+ *               * scale * 1e-9
  *     joules  = dynamic + staticWatts * serviceSeconds
  *
  * with scale the same full-clip scale-up as above and serviceSeconds
@@ -94,11 +92,10 @@ struct CostModelConfig {
 };
 
 /**
- * FleetCostOracle backed by the encoder models (see file docs).
- * resolve()/resolveOn() must run before the query methods; unresolved
- * combos throw.
+ * CostOracle backed by the encoder models (see file docs). resolve()
+ * must run before the query methods; unresolved combos throw.
  */
-class CostModel final : public FleetCostOracle
+class CostModel final : public CostOracle
 {
   public:
     /** @param orch Orchestrator that resolve() requests specs from
@@ -106,37 +103,25 @@ class CostModel final : public FleetCostOracle
     CostModel(lab::Orchestrator &orch, CostModelConfig config);
 
     /**
-     * Resolve every (clip, crf, ladder-preset) combo on the primary
-     * backend: request the specs, run() them as one batch, memoise
-     * service seconds and energy. Also runs the per-preset task-graph
-     * speedup probes. Idempotent per combo.
+     * Resolve every (backend, clip, crf, ladder-preset) combo: request
+     * the specs, run() them as one batch, memoise service seconds and
+     * energy. Also runs the per-preset task-graph speedup probes.
+     * Fixed-function backends are priced analytically, no requests.
+     * Idempotent per combo.
      */
-    void resolve(const std::vector<std::string> &clips,
+    void resolve(const std::vector<std::string> &backends,
+                 const std::vector<std::string> &clips,
                  const std::vector<int> &crfs);
 
-    /** resolve() across several named profiles (fleet sweeps).
-     *  Fixed-function backends are priced analytically, no requests. */
-    void resolveOn(const std::vector<std::string> &backends,
-                   const std::vector<std::string> &clips,
-                   const std::vector<int> &crfs);
-
-    double serviceSeconds(const std::string &clip, int crf,
-                          int preset) const override;
-    const std::vector<int> &presetLadder() const override;
-
-    double serviceSecondsOn(const std::string &backend,
-                            const std::string &clip, int crf,
-                            int preset) const override;
-    double energyJoulesOn(const std::string &backend,
+    double serviceSeconds(const std::string &backend,
                           const std::string &clip, int crf,
                           int preset) const override;
-
-    /** energyJoulesOn for the primary backend. */
-    double energyJoules(const std::string &clip, int crf,
-                        int preset) const;
+    double energyJoules(const std::string &backend, const std::string &clip,
+                        int crf, int preset) const override;
+    const std::vector<int> &presetLadder() const override;
 
     /** Parallel speedup used for @p preset on the primary backend
-     *  (post-resolve; for tests and the verbose scenario print). */
+     *  (post-resolve; for tests). */
     double speedup(int preset) const;
 
     /** The JobSpec a combo maps to on the primary backend (exposed

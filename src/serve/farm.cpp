@@ -11,11 +11,10 @@ namespace vepro::serve
 namespace
 {
 
-/** One waiting job: EDF order is (deadline, arrival seq). */
+/** One waiting job: EDF order is (deadline, arrival index). */
 struct Waiting {
     double deadline = 0.0;
-    size_t seq = 0;     ///< Arrival index: deterministic tie-break.
-    size_t job = 0;     ///< Index into the arrivals vector.
+    size_t job = 0;     ///< Arrival index: deterministic tie-break.
 };
 
 struct WaitingLater {
@@ -25,33 +24,9 @@ struct WaitingLater {
         if (a.deadline != b.deadline) {
             return a.deadline > b.deadline;
         }
-        return a.seq > b.seq;
+        return a.job > b.job;
     }
 };
-
-using ShardQueue =
-    std::priority_queue<Waiting, std::vector<Waiting>, WaitingLater>;
-
-/** Earliest-deadline job across every shard (nullopt-free: caller
- *  checks emptiness via the queued counter). */
-size_t
-popEarliest(std::vector<ShardQueue> &shards)
-{
-    int best = -1;
-    for (size_t i = 0; i < shards.size(); ++i) {
-        if (shards[i].empty()) {
-            continue;
-        }
-        if (best < 0 ||
-            WaitingLater{}(shards[static_cast<size_t>(best)].top(),
-                           shards[i].top())) {
-            best = static_cast<int>(i);
-        }
-    }
-    const size_t job = shards[static_cast<size_t>(best)].top().job;
-    shards[static_cast<size_t>(best)].pop();
-    return job;
-}
 
 double
 percentile(std::vector<double> sorted, double q)
@@ -71,159 +46,7 @@ percentile(std::vector<double> sorted, double q)
 FarmResult
 simulateFarm(const std::vector<UploadJob> &arrivals,
              const FarmConfig &config, const Policy &policy,
-             const CostOracle &cost)
-{
-    if (config.servers < 1 || config.shards < 1) {
-        throw std::invalid_argument("serve: farm needs >= 1 server/shard");
-    }
-    FarmResult out;
-    out.sla.policy = policy.name();
-    out.sla.offered = arrivals.size();
-    out.outcomes.reserve(arrivals.size());
-
-    // Server pool: min-heap of free times.
-    std::priority_queue<double, std::vector<double>, std::greater<double>>
-        servers;
-    for (int i = 0; i < config.servers; ++i) {
-        servers.push(0.0);
-    }
-    std::vector<ShardQueue> shards(static_cast<size_t>(config.shards));
-    size_t queued = 0;
-
-    std::vector<double> queue_waits;
-    double service_sum = 0.0;
-    double horizon = 0.0;
-    int prev_preset = -1;
-    size_t next_arrival = 0;
-
-    const auto admit = [&](size_t job_index) {
-        const UploadJob &job = arrivals[job_index];
-        if (config.admissionLimit != 0 && queued >= config.admissionLimit) {
-            JobOutcome reject;
-            reject.id = job.id;
-            reject.arrivalSec = job.arrivalSec;
-            reject.rejected = true;
-            out.outcomes.push_back(reject);
-            ++out.sla.rejected;
-            return;
-        }
-        Waiting w;
-        w.deadline = job.arrivalSec + config.latencyTargetSec;
-        w.seq = job_index;
-        w.job = job_index;
-        shards[job_index % shards.size()].push(w);
-        ++queued;
-    };
-
-    while (next_arrival < arrivals.size() || queued > 0) {
-        if (queued == 0) {
-            admit(next_arrival++);
-            continue;
-        }
-        // The next dispatch happens when the earliest server frees (or
-        // immediately, for jobs that arrived while it was idle). Admit
-        // everything that arrives up to that instant first, so EDF and
-        // admission control see the true queue contents.
-        const double t_free = servers.top();
-        if (next_arrival < arrivals.size() &&
-            arrivals[next_arrival].arrivalSec <= t_free) {
-            admit(next_arrival++);
-            continue;
-        }
-
-        const size_t job_index = popEarliest(shards);
-        --queued;
-        const UploadJob &job = arrivals[job_index];
-        const double start = std::max(t_free, job.arrivalSec);
-        const double deadline = job.arrivalSec + config.latencyTargetSec;
-        const int preset = policy.choosePreset(job, start, deadline, cost);
-        const double service =
-            cost.serviceSeconds(job.clip, job.crf, preset);
-        const double end = start + service;
-        servers.pop();
-        servers.push(end);
-
-        JobOutcome done;
-        done.id = job.id;
-        done.arrivalSec = job.arrivalSec;
-        done.preset = preset;
-        done.startSec = start;
-        done.endSec = end;
-        done.missedDeadline = end > deadline;
-        out.outcomes.push_back(done);
-
-        ++out.sla.completed;
-        if (done.missedDeadline) {
-            ++out.sla.deadlineMisses;
-        }
-        if (prev_preset >= 0 && preset != prev_preset) {
-            ++out.sla.presetSwitches;
-        }
-        prev_preset = preset;
-        queue_waits.push_back(start - job.arrivalSec);
-        service_sum += service;
-        horizon = std::max(horizon, end);
-    }
-
-    std::sort(queue_waits.begin(), queue_waits.end());
-    out.sla.p50QueueSec = percentile(queue_waits, 0.50);
-    out.sla.p99QueueSec = percentile(queue_waits, 0.99);
-    if (out.sla.completed > 0) {
-        out.sla.deadlineMissRate =
-            static_cast<double>(out.sla.deadlineMisses) /
-            static_cast<double>(out.sla.completed);
-        out.sla.meanServiceSec =
-            service_sum / static_cast<double>(out.sla.completed);
-    }
-    if (!arrivals.empty()) {
-        horizon = std::max(horizon, arrivals.back().arrivalSec);
-    }
-    if (horizon > 0.0) {
-        out.sla.throughputPerMin =
-            static_cast<double>(out.sla.completed) / (horizon / 60.0);
-    }
-    out.horizonSec = horizon;
-    return out;
-}
-
-namespace
-{
-
-/** The per-backend lens a heterogeneous dispatch consults the policy
- *  through: base-class queries answer for ONE profile. */
-class BackendView final : public CostOracle
-{
-  public:
-    BackendView(const FleetCostOracle &fleet, const std::string &backend)
-        : fleet_(fleet), backend_(backend)
-    {
-    }
-
-    double
-    serviceSeconds(const std::string &clip, int crf,
-                   int preset) const override
-    {
-        return fleet_.serviceSecondsOn(backend_, clip, crf, preset);
-    }
-
-    const std::vector<int> &
-    presetLadder() const override
-    {
-        return fleet_.presetLadder();
-    }
-
-  private:
-    const FleetCostOracle &fleet_;
-    const std::string &backend_;
-};
-
-} // namespace
-
-FarmResult
-simulateFarm(const std::vector<UploadJob> &arrivals,
-             const FarmConfig &config, const Policy &policy,
-             const FleetCostOracle &cost,
-             const std::vector<ServerGroup> &pool)
+             const CostOracle &cost, const std::vector<ServerGroup> &pool)
 {
     // Flatten the groups into one backend string per server; group
     // order fixes server indices, and indices break free-time ties.
@@ -233,13 +56,8 @@ simulateFarm(const std::vector<UploadJob> &arrivals,
             server_backend.push_back(group.backend);
         }
     }
-    if (server_backend.empty() || config.shards < 1) {
-        throw std::invalid_argument("serve: farm needs >= 1 server/shard");
-    }
-    std::vector<BackendView> views;
-    views.reserve(server_backend.size());
-    for (const std::string &name : server_backend) {
-        views.emplace_back(cost, name);
+    if (server_backend.empty()) {
+        throw std::invalid_argument("serve: farm needs >= 1 server");
     }
 
     FarmResult out;
@@ -254,8 +72,7 @@ simulateFarm(const std::vector<UploadJob> &arrivals,
     for (size_t i = 0; i < server_backend.size(); ++i) {
         servers.emplace(0.0, i);
     }
-    std::vector<ShardQueue> shards(static_cast<size_t>(config.shards));
-    size_t queued = 0;
+    std::priority_queue<Waiting, std::vector<Waiting>, WaitingLater> queue;
 
     std::vector<double> queue_waits;
     double service_sum = 0.0;
@@ -265,7 +82,8 @@ simulateFarm(const std::vector<UploadJob> &arrivals,
 
     const auto admit = [&](size_t job_index) {
         const UploadJob &job = arrivals[job_index];
-        if (config.admissionLimit != 0 && queued >= config.admissionLimit) {
+        if (config.admissionLimit != 0 &&
+            queue.size() >= config.admissionLimit) {
             JobOutcome reject;
             reject.id = job.id;
             reject.arrivalSec = job.arrivalSec;
@@ -274,19 +92,18 @@ simulateFarm(const std::vector<UploadJob> &arrivals,
             ++out.sla.rejected;
             return;
         }
-        Waiting w;
-        w.deadline = job.arrivalSec + config.latencyTargetSec;
-        w.seq = job_index;
-        w.job = job_index;
-        shards[job_index % shards.size()].push(w);
-        ++queued;
+        queue.push({job.arrivalSec + config.latencyTargetSec, job_index});
     };
 
-    while (next_arrival < arrivals.size() || queued > 0) {
-        if (queued == 0) {
+    while (next_arrival < arrivals.size() || !queue.empty()) {
+        if (queue.empty()) {
             admit(next_arrival++);
             continue;
         }
+        // The next dispatch happens when the earliest server frees (or
+        // immediately, for jobs that arrived while it was idle). Admit
+        // everything that arrives up to that instant first, so EDF and
+        // admission control see the true queue contents.
         const auto [t_free, server] = servers.top();
         if (next_arrival < arrivals.size() &&
             arrivals[next_arrival].arrivalSec <= t_free) {
@@ -294,16 +111,15 @@ simulateFarm(const std::vector<UploadJob> &arrivals,
             continue;
         }
 
-        const size_t job_index = popEarliest(shards);
-        --queued;
+        const auto [deadline, job_index] = queue.top();
+        queue.pop();
         const UploadJob &job = arrivals[job_index];
         const std::string &backend = server_backend[server];
         const double start = std::max(t_free, job.arrivalSec);
-        const double deadline = job.arrivalSec + config.latencyTargetSec;
         const int preset =
-            policy.choosePreset(job, start, deadline, views[server]);
+            policy.choosePreset(job, start, deadline, backend, cost);
         const double service =
-            cost.serviceSecondsOn(backend, job.clip, job.crf, preset);
+            cost.serviceSeconds(backend, job.clip, job.crf, preset);
         const double end = start + service;
         servers.pop();
         servers.emplace(end, server);
@@ -329,7 +145,7 @@ simulateFarm(const std::vector<UploadJob> &arrivals,
         queue_waits.push_back(start - job.arrivalSec);
         service_sum += service;
         out.energyJoules +=
-            cost.energyJoulesOn(backend, job.clip, job.crf, preset);
+            cost.energyJoules(backend, job.clip, job.crf, preset);
         horizon = std::max(horizon, end);
     }
 

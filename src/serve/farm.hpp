@@ -5,12 +5,14 @@
  * @file
  * Discrete-event encode-farm simulator and its SLA metrics layer.
  *
- * The farm models N identical multi-core servers behind a sharded
- * earliest-deadline-first queue with admission control. Arrivals come
- * from serve::generateTraffic; per-job service times come from a
+ * The farm models a pool of multi-core servers, one or more groups of
+ * machines sharing a backend profile, behind one earliest-deadline-
+ * first queue with admission control. Arrivals come from
+ * serve::generateTraffic; per-job service times and energy come from a
  * CostOracle (serve::CostModel in production — real encoder-model
- * numbers, cache-first through the ResultStore); the preset each job
- * runs at is chosen by a serve::Policy at dispatch time.
+ * numbers, cache-first through the ResultStore) for the backend of the
+ * server that runs the job; the preset each job runs at is chosen by a
+ * serve::Policy at dispatch time, for that same server.
  *
  * The simulation itself is single-threaded and pure: the outcome is a
  * function of (arrivals, config, policy, oracle) only — never of the
@@ -45,8 +47,9 @@ namespace vepro::serve
 
 /** Farm shape and SLA contract. */
 struct FarmConfig {
-    int servers = 4;      ///< Identical encode servers (>= 1).
-    int shards = 4;       ///< EDF queue shards (>= 1).
+    /** Servers per pool: runScenario's one group, and every fleet mix
+     *  (>= 1). simulateFarm itself takes its servers from the pool. */
+    int servers = 4;
     /** Max jobs waiting (not yet started) before arrivals are
      *  rejected. 0 = unbounded. */
     size_t admissionLimit = 0;
@@ -55,8 +58,8 @@ struct FarmConfig {
     double latencyTargetSec = 60.0;
 };
 
-/** One homogeneous slice of a heterogeneous server pool: @p servers
- *  machines of the named backend profile ("" = default). */
+/** One slice of the server pool: @p servers machines of the named
+ *  backend profile ("" = default). */
 struct ServerGroup {
     std::string backend;
     int servers = 1;
@@ -72,8 +75,7 @@ struct JobOutcome {
     double startSec = 0.0;   ///< Dispatch time.
     double endSec = 0.0;     ///< Completion time.
     bool missedDeadline = false;
-    /** Profile of the server that ran the job (heterogeneous overload
-     *  only; empty in the homogeneous farm and for rejected jobs). */
+    /** Profile of the server that ran the job (empty if rejected). */
     std::string backend;
 };
 
@@ -95,8 +97,7 @@ struct SlaReport {
 struct FarmResult {
     SlaReport sla;
     std::vector<JobOutcome> outcomes;
-    /** Modelled energy over all completed jobs (heterogeneous overload
-     *  only — the plain CostOracle has no energy channel). */
+    /** Modelled energy over all completed jobs. */
     double energyJoules = 0.0;
     /** max(last completion, last arrival): the window fleet economics
      *  charge server-hours over. */
@@ -105,26 +106,18 @@ struct FarmResult {
 
 /**
  * Run the farm over @p arrivals (must be sorted by arrivalSec — the
- * generateTraffic contract) under @p policy. Pure and deterministic.
+ * generateTraffic contract) under @p policy. The pool is the
+ * concatenation of @p pool's groups (config.servers is not read); each
+ * server carries its group's backend, and service times, energy and
+ * the policy's cost queries are all for the backend of the server
+ * dispatching the job, so adaptive switching sees the machine that
+ * will actually run it. Ties between simultaneously free servers break
+ * toward the lowest server index (earlier groups first). Pure and
+ * deterministic. @throws std::invalid_argument for an empty pool.
  */
 FarmResult simulateFarm(const std::vector<UploadJob> &arrivals,
                         const FarmConfig &config, const Policy &policy,
-                        const CostOracle &cost);
-
-/**
- * Heterogeneous overload: the pool is the concatenation of @p pool's
- * groups (config.servers is ignored; shards / admission / latency
- * target still apply). Each server carries its group's backend;
- * service times and energy come from the FleetCostOracle's *On
- * methods, and the policy is consulted through a per-backend view so
- * adaptive switching sees the costs of the machine actually dispatching
- * the job. Ties between simultaneously free servers break toward the
- * lowest server index (earlier groups first) — deterministic, like
- * everything else here.
- */
-FarmResult simulateFarm(const std::vector<UploadJob> &arrivals,
-                        const FarmConfig &config, const Policy &policy,
-                        const FleetCostOracle &cost,
+                        const CostOracle &cost,
                         const std::vector<ServerGroup> &pool);
 
 /**

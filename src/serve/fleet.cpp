@@ -1,7 +1,6 @@
 #include "serve/fleet.hpp"
 
 #include <map>
-#include <stdexcept>
 
 #include "backend/profile.hpp"
 #include "serve/costmodel.hpp"
@@ -79,18 +78,14 @@ cheapest(const std::vector<FleetRow> &rows, const std::string &regime)
 
 FleetSweepResult
 fleetSweep(const std::vector<UploadJob> &arrivals, const FarmConfig &farm,
-           const FleetCostOracle &cost, const FleetConfig &config)
+           const CostOracle &cost, const FleetConfig &config)
 {
     std::vector<std::string> backends = config.backends;
     if (backends.empty()) {
         backends = backend::profileNames();
     }
-    if (config.serversPerMix < 1) {
-        throw std::invalid_argument("serve: fleet needs >= 1 server/mix");
-    }
-
     FleetSweepResult out;
-    out.mixes = buildMixes(backends, config.serversPerMix);
+    out.mixes = buildMixes(backends, farm.servers);
 
     const std::vector<int> &ladder = cost.presetLadder();
     const struct {
@@ -161,12 +156,11 @@ runFleetScenario(const ServeScenario &scenario, lab::Orchestrator &orch,
     }
 
     CostModel cost(orch, scenario.cost);
-    cost.resolveOn(config.backends, rungClipIds(scenario.traffic),
-                   scenario.traffic.crfs);
+    cost.resolve(config.backends, rungClipIds(scenario.traffic),
+                 scenario.traffic.crfs);
 
     FleetRun run;
     run.arrivals = generateTraffic(scenario.traffic);
-    config.serversPerMix = scenario.farm.servers;
     run.sweep = fleetSweep(run.arrivals, scenario.farm, cost, config);
     return run;
 }

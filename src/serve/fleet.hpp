@@ -43,9 +43,6 @@ namespace vepro::serve
 struct FleetConfig {
     /** Profiles to mix; empty = the full registry in registry order. */
     std::vector<std::string> backends;
-    /** Servers in every mix (homogeneous and blend alike), so rows are
-     *  cost-comparable. */
-    int serversPerMix = 4;
     /** SLA: max deadline-miss rate a mix may have and still "meet". */
     double missBudget = 0.01;
 };
@@ -82,13 +79,13 @@ struct FleetSweepResult {
 };
 
 /**
- * Run the sweep over @p arrivals. @p cost must already be resolved
- * (resolveOn) for every backend in @p config and both ladder ends.
- * Pure and deterministic.
+ * Run the sweep over @p arrivals. Every mix has farm.servers servers
+ * (homogeneous and blend alike), so rows are cost-comparable. @p cost
+ * must already be resolved for every backend in @p config and both
+ * ladder ends. Pure and deterministic.
  */
 FleetSweepResult fleetSweep(const std::vector<UploadJob> &arrivals,
-                            const FarmConfig &farm,
-                            const FleetCostOracle &cost,
+                            const FarmConfig &farm, const CostOracle &cost,
                             const FleetConfig &config);
 
 /** A fleet run's inputs + outputs, mirroring ScenarioRun. */

@@ -15,7 +15,7 @@ StaticPolicy::name() const
 
 int
 StaticPolicy::choosePreset(const UploadJob &, double, double,
-                           const CostOracle &) const
+                           const std::string &, const CostOracle &) const
 {
     return preset_;
 }
@@ -28,7 +28,8 @@ AdaptivePolicy::name() const
 
 int
 AdaptivePolicy::choosePreset(const UploadJob &job, double now,
-                             double deadline, const CostOracle &cost) const
+                             double deadline, const std::string &backend,
+                             const CostOracle &cost) const
 {
     const std::vector<int> &ladder = cost.presetLadder();
     if (ladder.empty()) {
@@ -39,7 +40,8 @@ AdaptivePolicy::choosePreset(const UploadJob &job, double now,
     // makes the deadline; when even the fastest rung cannot, take the
     // fastest anyway — it minimises how late the job lands.
     for (int preset : ladder) {
-        if (cost.serviceSeconds(job.clip, job.crf, preset) <= slack) {
+        if (cost.serviceSeconds(backend, job.clip, job.crf, preset) <=
+            slack) {
             return preset;
         }
     }

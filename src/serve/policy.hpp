@@ -19,7 +19,8 @@
  *    trades back when the queue drains.
  *
  * Policies are consulted at dispatch time (not at arrival), so the
- * decision sees the queueing delay the job has already absorbed.
+ * decision sees the queueing delay the job has already absorbed and
+ * the costs of the server that will run it.
  */
 
 #include <memory>
@@ -32,8 +33,10 @@ namespace vepro::serve
 {
 
 /**
- * What a policy may ask about encode costs: predicted service seconds
- * per (clip, crf, preset) and the preset ladder it may choose from.
+ * Encode costs per machine profile (backend registry, src/backend):
+ * predicted service seconds and energy per (backend, clip, crf,
+ * preset), and the preset ladder a policy may choose from. The farm
+ * asks it for the backend of the server dispatching each job.
  * Implemented by serve::CostModel for real model-derived costs and by
  * test fakes for policy-logic pins.
  */
@@ -43,39 +46,23 @@ class CostOracle
     virtual ~CostOracle() = default;
 
     /** Predicted wall seconds to encode @p clip at (@p crf, @p preset)
-     *  on one farm server. */
-    virtual double serviceSeconds(const std::string &clip, int crf,
+     *  on one server of @p backend. */
+    virtual double serviceSeconds(const std::string &backend,
+                                  const std::string &clip, int crf,
                                   int preset) const = 0;
-
-    /** Presets a policy may choose, ordered slowest (best quality)
-     *  first. Never empty. */
-    virtual const std::vector<int> &presetLadder() const = 0;
-};
-
-/**
- * A CostOracle that can price the same combo on several named machine
- * profiles (backend registry, src/backend). The base-class methods
- * answer for the oracle's primary backend; the *On variants take the
- * profile name explicitly, which is what the heterogeneous farm and
- * the fleet sweep consult per server. Implemented by serve::CostModel.
- */
-class FleetCostOracle : public CostOracle
-{
-  public:
-    /** Predicted wall seconds to encode @p clip at (@p crf, @p preset)
-     *  on one server of @p backend ("" = the default profile). */
-    virtual double serviceSecondsOn(const std::string &backend,
-                                    const std::string &clip, int crf,
-                                    int preset) const = 0;
 
     /**
      * Modelled energy in joules one such encode costs on @p backend:
      * dynamic event energy plus static burn over the service time (see
      * CostModel docs for the exact evaluation order).
      */
-    virtual double energyJoulesOn(const std::string &backend,
-                                  const std::string &clip, int crf,
-                                  int preset) const = 0;
+    virtual double energyJoules(const std::string &backend,
+                                const std::string &clip, int crf,
+                                int preset) const = 0;
+
+    /** Presets a policy may choose, ordered slowest (best quality)
+     *  first. Never empty. */
+    virtual const std::vector<int> &presetLadder() const = 0;
 };
 
 /** Scheduling policy: preset selection at dispatch time. */
@@ -93,10 +80,11 @@ class Policy
      * @param job      The upload being dispatched.
      * @param now      Dispatch time (>= job.arrivalSec).
      * @param deadline Absolute SLA deadline (arrival + latency target).
+     * @param backend  Profile of the server the job is dispatched to.
      * @param cost     Cost oracle for predicted service times.
      */
     virtual int choosePreset(const UploadJob &job, double now,
-                             double deadline,
+                             double deadline, const std::string &backend,
                              const CostOracle &cost) const = 0;
 };
 
@@ -107,6 +95,7 @@ class StaticPolicy final : public Policy
     explicit StaticPolicy(int preset);
     std::string name() const override;
     int choosePreset(const UploadJob &job, double now, double deadline,
+                     const std::string &backend,
                      const CostOracle &cost) const override;
 
   private:
@@ -119,6 +108,7 @@ class AdaptivePolicy final : public Policy
   public:
     std::string name() const override;
     int choosePreset(const UploadJob &job, double now, double deadline,
+                     const std::string &backend,
                      const CostOracle &cost) const override;
 };
 

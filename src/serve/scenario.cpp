@@ -33,7 +33,6 @@ referenceScenario(bool quick)
     }
 
     s.farm.servers = 4;
-    s.farm.shards = 4;
     s.farm.admissionLimit = 0;
     // Generous enough that the slowest preset meets it on an idle farm
     // (adaptive only sheds quality when the queue demands it).
@@ -48,7 +47,10 @@ ScenarioRun
 runScenario(const ServeScenario &scenario, lab::Orchestrator &orch)
 {
     CostModel cost(orch, scenario.cost);
-    cost.resolve(rungClipIds(scenario.traffic), scenario.traffic.crfs);
+    cost.resolve({cost.primaryBackend()}, rungClipIds(scenario.traffic),
+                 scenario.traffic.crfs);
+    const std::vector<ServerGroup> pool = {
+        {cost.primaryBackend(), scenario.farm.servers}};
 
     ScenarioRun run;
     run.arrivals = generateTraffic(scenario.traffic);
@@ -60,7 +62,8 @@ runScenario(const ServeScenario &scenario, lab::Orchestrator &orch)
     policies.push_back(std::make_unique<AdaptivePolicy>());
     for (const auto &policy : policies) {
         run.reports.push_back(
-            simulateFarm(run.arrivals, scenario.farm, *policy, cost).sla);
+            simulateFarm(run.arrivals, scenario.farm, *policy, cost, pool)
+                .sla);
     }
     run.table = slaTable(run.reports);
     return run;

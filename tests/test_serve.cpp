@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -44,33 +45,75 @@ freshDir(const std::string &name)
     return dir.string();
 }
 
-/** Cost oracle with a fixed per-preset cost (clip/CRF-independent):
+/** Cost oracle over plain functions of (backend, clip, crf, preset):
  *  isolates queue/policy logic from the encoder models. */
 class FakeOracle final : public CostOracle
 {
   public:
-    FakeOracle(std::vector<int> ladder, std::vector<double> seconds)
-        : ladder_(std::move(ladder)), seconds_(std::move(seconds))
+    using Fn = std::function<double(const std::string &,
+                                    const std::string &, int, int)>;
+
+    FakeOracle(std::vector<int> ladder, Fn seconds, Fn joules)
+        : ladder_(std::move(ladder)), seconds_(std::move(seconds)),
+          joules_(std::move(joules))
     {
     }
 
     double
-    serviceSeconds(const std::string &, int, int preset) const override
+    serviceSeconds(const std::string &backend, const std::string &clip,
+                   int crf, int preset) const override
     {
-        for (size_t i = 0; i < ladder_.size(); ++i) {
-            if (ladder_[i] == preset) {
-                return seconds_[i];
-            }
-        }
-        throw std::out_of_range("fake oracle: preset off the ladder");
+        return seconds_(backend, clip, crf, preset);
+    }
+
+    double
+    energyJoules(const std::string &backend, const std::string &clip,
+                 int crf, int preset) const override
+    {
+        return joules_(backend, clip, crf, preset);
     }
 
     const std::vector<int> &presetLadder() const override { return ladder_; }
 
   private:
     std::vector<int> ladder_;
-    std::vector<double> seconds_;
+    Fn seconds_;
+    Fn joules_;
 };
+
+/** Seconds per preset (ladder = the map's presets, ascending), the
+ *  same on every backend, clip and CRF; no energy. */
+FakeOracle
+presetOracle(const std::map<int, double> &seconds)
+{
+    std::vector<int> ladder;
+    for (const auto &[preset, sec] : seconds) {
+        ladder.push_back(preset);
+    }
+    return FakeOracle(
+        ladder,
+        [seconds](const std::string &, const std::string &, int,
+                  int preset) { return seconds.at(preset); },
+        [](auto &&...) { return 0.0; });
+}
+
+/** Ladder {2, 8}: preset 2 takes 40 s and preset 8 takes 8 s, except
+ *  on @p fast, which encodes 4x quicker. An encode burns 10 J on
+ *  @p fast and 100 J anywhere else. */
+FakeOracle
+ironOracle(const std::string &fast)
+{
+    return FakeOracle(
+        {2, 8},
+        [fast](const std::string &backend, const std::string &, int,
+               int preset) {
+            const double base = preset == 2 ? 40.0 : 8.0;
+            return backend == fast ? base / 4.0 : base;
+        },
+        [fast](const std::string &backend, const std::string &, int, int) {
+            return backend == fast ? 10.0 : 100.0;
+        });
+}
 
 /** @p count arrivals of one clip, @p gap seconds apart. */
 std::vector<UploadJob>
@@ -264,50 +307,46 @@ TEST(Traffic, RejectsDegenerateRungMixes)
 
 // ---- Farm queue contracts --------------------------------------------
 
-TEST(Farm, DispatchOrderIsDeterministicAndShardCountInvariant)
+TEST(Farm, UniformTargetDispatchesInArrivalOrder)
 {
-    const auto arrivals = steadyArrivals(40, 0.25);
-    const FakeOracle oracle({4}, {3.0});
-    const StaticPolicy policy(4);
-    FarmConfig config;
-    config.servers = 2;
-    config.latencyTargetSec = 10.0;
-
-    config.shards = 1;
-    const FarmResult one = simulateFarm(arrivals, config, policy, oracle);
-    for (int shards : {2, 5}) {
-        config.shards = shards;
-        const FarmResult many =
-            simulateFarm(arrivals, config, policy, oracle);
-        ASSERT_EQ(one.outcomes.size(), many.outcomes.size());
-        for (size_t i = 0; i < one.outcomes.size(); ++i) {
-            EXPECT_EQ(one.outcomes[i].id, many.outcomes[i].id);
-            EXPECT_DOUBLE_EQ(one.outcomes[i].startSec,
-                             many.outcomes[i].startSec);
-            EXPECT_DOUBLE_EQ(one.outcomes[i].endSec,
-                             many.outcomes[i].endSec);
-        }
-    }
     // EDF with a uniform latency target dispatches in deadline ==
-    // arrival order.
-    for (size_t i = 1; i < one.outcomes.size(); ++i) {
-        EXPECT_LT(one.outcomes[i - 1].id, one.outcomes[i].id);
+    // arrival order. (Replay determinism is pinned by FarmGolden.)
+    const auto arrivals = steadyArrivals(40, 0.25);
+    const FakeOracle oracle = presetOracle({{4, 3.0}});
+    FarmConfig config;
+    config.latencyTargetSec = 10.0;
+    const FarmResult r =
+        simulateFarm(arrivals, config, StaticPolicy(4), oracle, {{"", 2}});
+    ASSERT_EQ(r.outcomes.size(), arrivals.size());
+    for (size_t i = 1; i < r.outcomes.size(); ++i) {
+        EXPECT_LT(r.outcomes[i - 1].id, r.outcomes[i].id);
     }
+}
+
+TEST(Farm, EmptyPoolIsRejected)
+{
+    const auto arrivals = steadyArrivals(3, 1.0);
+    const FakeOracle oracle = presetOracle({{4, 5.0}});
+    const FarmConfig config;
+    EXPECT_THROW(simulateFarm(arrivals, config, StaticPolicy(4), oracle, {}),
+                 std::invalid_argument);
+    EXPECT_THROW(simulateFarm(arrivals, config, StaticPolicy(4), oracle,
+                              {{"", 0}}),
+                 std::invalid_argument);
 }
 
 TEST(Farm, AdmissionControlRejectsWhenTheQueueIsFull)
 {
     // One server stuck on 100 s jobs; arrivals flood in every second.
     const auto arrivals = steadyArrivals(12, 1.0);
-    const FakeOracle oracle({4}, {100.0});
+    const FakeOracle oracle = presetOracle({{4, 100.0}});
     const StaticPolicy policy(4);
     FarmConfig config;
-    config.servers = 1;
-    config.shards = 2;
     config.admissionLimit = 3;
     config.latencyTargetSec = 50.0;
 
-    const FarmResult r = simulateFarm(arrivals, config, policy, oracle);
+    const FarmResult r =
+        simulateFarm(arrivals, config, policy, oracle, {{"", 1}});
     EXPECT_EQ(r.sla.offered, 12u);
     EXPECT_EQ(r.sla.completed + r.sla.rejected, 12u);
     EXPECT_GT(r.sla.rejected, 0u);
@@ -321,7 +360,7 @@ TEST(Farm, AdmissionControlRejectsWhenTheQueueIsFull)
 // ---- Farm golden -----------------------------------------------------
 
 /** Golden-farm service seconds: depend on every argument, with
- *  non-round values so float rounding and dispatch ties are exercised. */
+ *  non-round values, so a change in float evaluation order shows. */
 double
 goldenSeconds(const std::string &backend, const std::string &clip, int crf,
               int preset)
@@ -340,35 +379,6 @@ goldenJoules(const std::string &backend, const std::string &clip, int crf,
                (backend == "iron-b" ? 37.5 : 81.25) +
            0.3 * static_cast<double>(crf);
 }
-
-class GoldenOracle final : public FleetCostOracle
-{
-  public:
-    double
-    serviceSeconds(const std::string &clip, int crf,
-                   int preset) const override
-    {
-        return goldenSeconds("iron-a", clip, crf, preset);
-    }
-    double
-    serviceSecondsOn(const std::string &backend, const std::string &clip,
-                     int crf, int preset) const override
-    {
-        return goldenSeconds(backend, clip, crf, preset);
-    }
-    double
-    energyJoulesOn(const std::string &backend, const std::string &clip,
-                   int crf, int preset) const override
-    {
-        return goldenJoules(backend, clip, crf, preset);
-    }
-    const std::vector<int> &
-    presetLadder() const override
-    {
-        static const std::vector<int> ladder = {2, 4, 6, 8};
-        return ladder;
-    }
-};
 
 /** FNV-1a over every JobOutcome field, the SlaReport, energy and
  *  horizon, in declaration order; doubles by bit pattern. */
@@ -431,7 +441,7 @@ TEST(FarmGolden, OutcomeDigestsArePinned)
     const auto arrivals = generateTraffic(traffic);
     ASSERT_GT(arrivals.size(), 50u);
 
-    const GoldenOracle oracle;
+    const FakeOracle oracle({2, 4, 6, 8}, goldenSeconds, goldenJoules);
     const StaticPolicy slow(2), fast(8);
     const AdaptivePolicy adaptive;
     const std::vector<ServerGroup> one = {{"iron-a", 3}};
@@ -484,17 +494,18 @@ TEST(FarmGolden, OutcomeDigestsArePinned)
 
 TEST(Policy, AdaptivePicksTheSlowestRungThatStillFits)
 {
-    const FakeOracle oracle({2, 4, 6, 8}, {10.0, 5.0, 2.0, 1.0});
+    const FakeOracle oracle =
+        presetOracle({{2, 10.0}, {4, 5.0}, {6, 2.0}, {8, 1.0}});
     const AdaptivePolicy policy;
     UploadJob job;
     job.clip = "game1";
     job.crf = 32;
 
-    EXPECT_EQ(policy.choosePreset(job, 0.0, 20.0, oracle), 2);
-    EXPECT_EQ(policy.choosePreset(job, 0.0, 6.0, oracle), 4);
-    EXPECT_EQ(policy.choosePreset(job, 0.0, 1.5, oracle), 8);
+    EXPECT_EQ(policy.choosePreset(job, 0.0, 20.0, "", oracle), 2);
+    EXPECT_EQ(policy.choosePreset(job, 0.0, 6.0, "", oracle), 4);
+    EXPECT_EQ(policy.choosePreset(job, 0.0, 1.5, "", oracle), 8);
     // Nothing fits: take the fastest anyway.
-    EXPECT_EQ(policy.choosePreset(job, 0.0, -3.0, oracle), 8);
+    EXPECT_EQ(policy.choosePreset(job, 0.0, -3.0, "", oracle), 8);
 }
 
 TEST(Policy, AdaptiveStrictlyBeatsSlowestStaticUnderOverload)
@@ -502,15 +513,15 @@ TEST(Policy, AdaptiveStrictlyBeatsSlowestStaticUnderOverload)
     // 1 server, arrivals every 2 s: 5x overload at the slow rung,
     // half-capacity at the fast one.
     const auto arrivals = steadyArrivals(100, 2.0);
-    const FakeOracle oracle({2, 4, 6, 8}, {10.0, 6.0, 3.0, 1.0});
+    const FakeOracle oracle =
+        presetOracle({{2, 10.0}, {4, 6.0}, {6, 3.0}, {8, 1.0}});
     FarmConfig config;
-    config.servers = 1;
     config.latencyTargetSec = 12.0;
 
-    const FarmResult slow =
-        simulateFarm(arrivals, config, StaticPolicy(2), oracle);
-    const FarmResult adaptive =
-        simulateFarm(arrivals, config, AdaptivePolicy(), oracle);
+    const FarmResult slow = simulateFarm(arrivals, config, StaticPolicy(2),
+                                         oracle, {{"", 1}});
+    const FarmResult adaptive = simulateFarm(
+        arrivals, config, AdaptivePolicy(), oracle, {{"", 1}});
 
     EXPECT_GT(slow.sla.deadlineMisses, arrivals.size() / 2);
     EXPECT_LT(adaptive.sla.deadlineMisses, slow.sla.deadlineMisses);
@@ -604,9 +615,9 @@ TEST(Scenario, CostModelScalesWithPresetAndCachesThroughTheStore)
     {
         lab::Orchestrator orch(opts);
         CostModel cost(orch, config);
-        cost.resolve({"game1"}, {32});
-        slow = cost.serviceSeconds("game1", 32, 2);
-        fast = cost.serviceSeconds("game1", 32, 8);
+        cost.resolve({"xeon-bdw"}, {"game1"}, {32});
+        slow = cost.serviceSeconds("xeon-bdw", "game1", 32, 2);
+        fast = cost.serviceSeconds("xeon-bdw", "game1", 32, 8);
         EXPECT_GT(slow, fast);
         EXPECT_GE(cost.speedup(2), 1.0);
         EXPECT_EQ(orch.cacheHits(), 0u);
@@ -614,11 +625,13 @@ TEST(Scenario, CostModelScalesWithPresetAndCachesThroughTheStore)
     {
         lab::Orchestrator orch(opts);
         CostModel cost(orch, config);
-        cost.resolve({"game1"}, {32});
+        cost.resolve({"xeon-bdw"}, {"game1"}, {32});
         EXPECT_EQ(orch.cacheHits(), 2u);
         EXPECT_EQ(orch.computed(), 0u);
-        EXPECT_DOUBLE_EQ(cost.serviceSeconds("game1", 32, 2), slow);
-        EXPECT_DOUBLE_EQ(cost.serviceSeconds("game1", 32, 8), fast);
+        EXPECT_DOUBLE_EQ(cost.serviceSeconds("xeon-bdw", "game1", 32, 2),
+                         slow);
+        EXPECT_DOUBLE_EQ(cost.serviceSeconds("xeon-bdw", "game1", 32, 8),
+                         fast);
     }
 }
 
@@ -628,18 +641,26 @@ TEST(ServeCli, IntegerFlagsRejectTrailingJunk)
 {
     // std::stoi would silently read "4abc" as 4; parseIntStrict must
     // turn each of these into a parse error instead.
-    for (const char *flag : {"--users", "--servers", "--shards", "--jobs"}) {
+    for (const char *flag : {"--users", "--servers", "--jobs"}) {
         const ServeCli cli = parseServeCli({flag, "4abc"});
         EXPECT_FALSE(cli.error.empty()) << flag;
         EXPECT_NE(cli.error.find(flag), std::string::npos) << cli.error;
     }
+    // A farm needs a server, and a negative user count would silently
+    // generate no traffic.
+    for (const auto &[flag, value] :
+         std::vector<std::pair<const char *, const char *>>{
+             {"--servers", "0"}, {"--servers", "-2"}, {"--users", "-5"}}) {
+        const ServeCli cli = parseServeCli({flag, value, "--quick"});
+        EXPECT_NE(cli.error.find(flag), std::string::npos)
+            << flag << " " << value << ": " << cli.error;
+    }
+    EXPECT_TRUE(parseServeCli({"--servers=1", "--users=0"}).error.empty());
     const ServeCli ok =
-        parseServeCli({"--users", "250", "--servers", "2", "--shards", "3",
-                       "--jobs", "4"});
+        parseServeCli({"--users", "250", "--servers", "2", "--jobs", "4"});
     EXPECT_TRUE(ok.error.empty()) << ok.error;
     EXPECT_EQ(ok.scenario.traffic.users, 250);
     EXPECT_EQ(ok.scenario.farm.servers, 2);
-    EXPECT_EQ(ok.scenario.farm.shards, 3);
     EXPECT_EQ(ok.jobs, 4);
 }
 
@@ -770,48 +791,12 @@ TEST(ServeCli, FlagOrderDoesNotMatterAroundQuick)
 
 // ---- Heterogeneous pools and the fleet sweep -------------------------
 
-/** Two-backend fleet oracle: "fast-iron" encodes 4x quicker than
- *  "slow-iron" and burns a fixed 10 J per encode vs 100 J. */
-class FakeFleetOracle final : public FleetCostOracle
-{
-  public:
-    double
-    serviceSeconds(const std::string &clip, int crf,
-                   int preset) const override
-    {
-        return serviceSecondsOn("slow-iron", clip, crf, preset);
-    }
-
-    double
-    serviceSecondsOn(const std::string &backend, const std::string &,
-                     int, int preset) const override
-    {
-        const double base = preset == 2 ? 40.0 : 8.0;
-        return backend == "fast-iron" ? base / 4.0 : base;
-    }
-
-    double
-    energyJoulesOn(const std::string &backend, const std::string &, int,
-                   int) const override
-    {
-        return backend == "fast-iron" ? 10.0 : 100.0;
-    }
-
-    const std::vector<int> &
-    presetLadder() const override
-    {
-        static const std::vector<int> ladder = {2, 8};
-        return ladder;
-    }
-};
-
 TEST(FleetFarm, JobsLandOnBothBackendsAndEnergyAccumulates)
 {
     const auto arrivals = steadyArrivals(40, 1.0);
-    const FakeFleetOracle oracle;
+    const FakeOracle oracle = ironOracle("fast-iron");
     const StaticPolicy policy(8);
     FarmConfig config;
-    config.shards = 2;
     config.latencyTargetSec = 60.0;
 
     const std::vector<ServerGroup> pool = {{"slow-iron", 1},
@@ -834,15 +819,6 @@ TEST(FleetFarm, JobsLandOnBothBackendsAndEnergyAccumulates)
     EXPECT_DOUBLE_EQ(r.energyJoules, joules);
     EXPECT_GT(r.horizonSec, 0.0);
 
-    // Determinism: the heterogeneous path replays byte-identically.
-    const FarmResult again =
-        simulateFarm(arrivals, config, policy, oracle, pool);
-    ASSERT_EQ(again.outcomes.size(), r.outcomes.size());
-    for (size_t i = 0; i < r.outcomes.size(); ++i) {
-        EXPECT_EQ(again.outcomes[i].backend, r.outcomes[i].backend);
-        EXPECT_DOUBLE_EQ(again.outcomes[i].endSec, r.outcomes[i].endSec);
-    }
-    EXPECT_DOUBLE_EQ(again.energyJoules, r.energyJoules);
 }
 
 TEST(FleetFarm, AdaptivePolicySeesThePerServerCosts)
@@ -851,7 +827,7 @@ TEST(FleetFarm, AdaptivePolicySeesThePerServerCosts)
     // the fast one fits preset 2 (10 s). An adaptive policy consulted
     // through the per-server view must pick per backend.
     const auto arrivals = steadyArrivals(8, 100.0);  // No queueing.
-    const FakeFleetOracle oracle;
+    const FakeOracle oracle = ironOracle("fast-iron");
     const AdaptivePolicy policy;
     FarmConfig config;
     config.latencyTargetSec = 10.0;
@@ -872,55 +848,20 @@ TEST(FleetSweep, RanksMixesAndFlagsTheRegimeFlip)
 {
     // Overload at the slow rung (40 s service vs 10 s spacing on 2
     // servers) — only all-fast-iron meets the SLA there. At the fast
-    // rung everything keeps up, and cheaper wins.
+    // rung everything keeps up, and cheaper wins. The fast fake iron is
+    // named after a registry profile, because the sweep prices servers
+    // through backend::resolveProfile.
     const auto arrivals = steadyArrivals(60, 10.0);
-    const FakeFleetOracle oracle;
+    const FakeOracle oracle = ironOracle("graviton-like");
     FarmConfig farm;
+    farm.servers = 2;
     farm.latencyTargetSec = 45.0;
 
     FleetConfig config;
-    config.backends = {"slow-iron", "fast-iron"};
-    config.serversPerMix = 2;
+    config.backends = {"xeon-bdw", "graviton-like"};
     config.missBudget = 0.05;
 
-    // The fake backends are not registry profiles, so dollars resolve
-    // through resolveProfile — pin the sweep against registry names
-    // instead: map the fakes onto real profile names.
-    FleetConfig real;
-    real.backends = {"xeon-bdw", "graviton-like"};
-    real.serversPerMix = 2;
-    real.missBudget = 0.05;
-
-    class NamedFleetOracle final : public FleetCostOracle
-    {
-      public:
-        double
-        serviceSeconds(const std::string &c, int r, int p) const override
-        {
-            return serviceSecondsOn("xeon-bdw", c, r, p);
-        }
-        double
-        serviceSecondsOn(const std::string &backend, const std::string &,
-                         int, int preset) const override
-        {
-            const double base = preset == 2 ? 40.0 : 8.0;
-            return backend == "graviton-like" ? base / 4.0 : base;
-        }
-        double
-        energyJoulesOn(const std::string &backend, const std::string &,
-                       int, int) const override
-        {
-            return backend == "graviton-like" ? 10.0 : 100.0;
-        }
-        const std::vector<int> &
-        presetLadder() const override
-        {
-            static const std::vector<int> ladder = {2, 8};
-            return ladder;
-        }
-    } named;
-
-    const FleetSweepResult sweep = fleetSweep(arrivals, farm, named, real);
+    const FleetSweepResult sweep = fleetSweep(arrivals, farm, oracle, config);
     // 2 homogeneous mixes + 1 blend, 2 regimes each.
     ASSERT_EQ(sweep.mixes.size(), 3u);
     ASSERT_EQ(sweep.rows.size(), 6u);
@@ -940,7 +881,7 @@ TEST(FleetSweep, RanksMixesAndFlagsTheRegimeFlip)
     EXPECT_NE(sweep.verdict.find("holds"), std::string::npos);
 
     // Byte-identical replay (the CI fleet-smoke contract in miniature).
-    const FleetSweepResult again = fleetSweep(arrivals, farm, named, real);
+    const FleetSweepResult again = fleetSweep(arrivals, farm, oracle, config);
     EXPECT_EQ(again.table.toJson(), sweep.table.toJson());
     EXPECT_EQ(again.verdict, sweep.verdict);
 }
@@ -961,42 +902,40 @@ TEST(CostModel, ResolvesPerBackendAndPricesFixedFunctionAnalytically)
 
     lab::Orchestrator orch(opts);
     CostModel cost(orch, config);
-    cost.resolveOn({"xeon-bdw", "graviton-like", "hw-enc"}, {"game1"},
-                   {32});
+    cost.resolve({"xeon-bdw", "graviton-like", "hw-enc"}, {"game1"},
+                 {32});
 
-    // Default primary == xeon-bdw: base-class queries match the *On
-    // form, and the xeon numbers reproduce the pre-backend cost model
-    // (fakeRun IPC 2.0 at the historical 3.0 GHz).
+    // The default primary is xeon-bdw, and "" names it too.
     EXPECT_EQ(cost.primaryBackend(), "xeon-bdw");
-    EXPECT_DOUBLE_EQ(cost.serviceSeconds("game1", 32, 2),
-                     cost.serviceSecondsOn("xeon-bdw", "game1", 32, 2));
+    EXPECT_DOUBLE_EQ(cost.serviceSeconds("", "game1", 32, 2),
+                     cost.serviceSeconds("xeon-bdw", "game1", 32, 2));
 
     // The Arm profile has a different clock, so the same measured
     // instruction stream maps to different seconds.
-    EXPECT_NE(cost.serviceSecondsOn("xeon-bdw", "game1", 32, 2),
-              cost.serviceSecondsOn("graviton-like", "game1", 32, 2));
+    EXPECT_NE(cost.serviceSeconds("xeon-bdw", "game1", 32, 2),
+              cost.serviceSeconds("graviton-like", "game1", 32, 2));
 
     // hw-enc: preset-independent, resolved with zero encode jobs, and
     // matching the analytic block pricing exactly.
-    EXPECT_DOUBLE_EQ(cost.serviceSecondsOn("hw-enc", "game1", 32, 2),
-                     cost.serviceSecondsOn("hw-enc", "game1", 32, 8));
+    EXPECT_DOUBLE_EQ(cost.serviceSeconds("hw-enc", "game1", 32, 2),
+                     cost.serviceSeconds("hw-enc", "game1", 32, 8));
     const backend::MachineProfile &hw = backend::profile("hw-enc");
     const video::SuiteEntry &entry = video::suiteEntry("game1");
     const uint64_t blocks =
         static_cast<uint64_t>((entry.nominalWidth + 15) / 16) *
         static_cast<uint64_t>((entry.nominalHeight + 15) / 16) *
         static_cast<uint64_t>(config.referenceFrames);
-    EXPECT_DOUBLE_EQ(cost.serviceSecondsOn("hw-enc", "game1", 32, 2),
+    EXPECT_DOUBLE_EQ(cost.serviceSeconds("hw-enc", "game1", 32, 2),
                      backend::fixedServiceSeconds(hw, blocks));
-    EXPECT_DOUBLE_EQ(cost.energyJoulesOn("hw-enc", "game1", 32, 2),
+    EXPECT_DOUBLE_EQ(cost.energyJoules("hw-enc", "game1", 32, 2),
                      backend::fixedEnergyJoules(hw, blocks));
 
     // Energy is resolved for every core backend and positive.
-    EXPECT_GT(cost.energyJoules("game1", 32, 2), 0.0);
-    EXPECT_GT(cost.energyJoulesOn("graviton-like", "game1", 32, 8), 0.0);
+    EXPECT_GT(cost.energyJoules("xeon-bdw", "game1", 32, 2), 0.0);
+    EXPECT_GT(cost.energyJoules("graviton-like", "game1", 32, 8), 0.0);
 
     // Unresolved combos still throw.
-    EXPECT_THROW(cost.serviceSecondsOn("xeon-bdw", "house", 32, 2),
+    EXPECT_THROW(cost.serviceSeconds("xeon-bdw", "house", 32, 2),
                  std::out_of_range);
 
     // Only the two core backends requested specs: 2 backends x 2
@@ -1006,7 +945,7 @@ TEST(CostModel, ResolvesPerBackendAndPricesFixedFunctionAnalytically)
 
 TEST(CostModel, FleetResolutionCapturesEachTraceExactlyOnce)
 {
-    // On a cold store, resolveOn() across two core backends must run
+    // On a cold store, resolve() across two core backends must run
     // the instrumented encoder exactly once per (clip, crf, preset) —
     // the trace cache is keyed by the encode-side spec only, so the
     // second backend replays the first backend's captures. Uses the
@@ -1023,7 +962,7 @@ TEST(CostModel, FleetResolutionCapturesEachTraceExactlyOnce)
 
     lab::Orchestrator orch(opts);
     CostModel cost(orch, config);
-    cost.resolveOn({"xeon-bdw", "graviton-like"}, {"game1"}, {32});
+    cost.resolve({"xeon-bdw", "graviton-like"}, {"game1"}, {32});
 
     // 1 clip x 1 crf x 2 presets = 2 unique encodes; 2 backends x 2
     // presets = 4 computed specs, the extra 2 resolved by replay.
@@ -1033,8 +972,8 @@ TEST(CostModel, FleetResolutionCapturesEachTraceExactlyOnce)
     EXPECT_EQ(orch.traceReplays(), 2u);
 
     // Both backends priced every preset from the same capture.
-    EXPECT_GT(cost.serviceSecondsOn("xeon-bdw", "game1", 32, 2), 0.0);
-    EXPECT_GT(cost.serviceSecondsOn("graviton-like", "game1", 32, 8), 0.0);
+    EXPECT_GT(cost.serviceSeconds("xeon-bdw", "game1", 32, 2), 0.0);
+    EXPECT_GT(cost.serviceSeconds("graviton-like", "game1", 32, 8), 0.0);
 }
 
 TEST(CostModel, ExplicitOverridesSupersedeTheProfile)
@@ -1053,15 +992,15 @@ TEST(CostModel, ExplicitOverridesSupersedeTheProfile)
     halved.nominalGhz = 1.5;  // Half the xeon profile's 3.0 GHz.
 
     CostModel a(orch, plain);
-    a.resolve({"game1"}, {32});
+    a.resolve({"xeon-bdw"}, {"game1"}, {32});
     CostModel b(orch, halved);
-    b.resolve({"game1"}, {32});
+    b.resolve({"xeon-bdw"}, {"game1"}, {32});
 
     // Same measured spec (same cache entry), half the clock: exactly
     // twice the seconds. b's request dedupes to the handle a's run()
     // already resolved, so the spec is computed once.
-    EXPECT_DOUBLE_EQ(b.serviceSeconds("game1", 32, 8),
-                     2.0 * a.serviceSeconds("game1", 32, 8));
+    EXPECT_DOUBLE_EQ(b.serviceSeconds("xeon-bdw", "game1", 32, 8),
+                     2.0 * a.serviceSeconds("xeon-bdw", "game1", 32, 8));
     EXPECT_EQ(orch.computed(), 1u);
 }
 
