@@ -7,12 +7,12 @@
  * is the RS and store buffer, not the ROB).
  *
  * All 18 configurations are simulated from ONE encode pass via
- * core::simulate: the instrumented encoder streams its trace into a
- * PipelineMux fanning into 18 independent StreamCore instances, so
- * the encode+emit cost is paid once instead of per config. Each
+ * core::simulate: the instrumented encoder's trace is buffered in
+ * batches of whole blocks, and each batch is replayed into 18
+ * independent StreamCore instances spread over the hardware threads,
+ * so the encode+emit cost is paid once instead of per config. Each
  * config's CoreStats is bit-identical to a sequential runPoint
- * (tests/test_core.cpp pins that); --sim-jobs controls the fan-out
- * parallelism.
+ * (tests/test_core.cpp pins that), whatever the thread count.
  */
 
 #include <cstdio>

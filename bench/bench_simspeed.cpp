@@ -22,15 +22,12 @@
  *   replay      — trace::FileSource decode into a counting sink: the
  *                 fixed per-run cost of a trace-cache hit before any
  *                 simulation work happens.
- *   e2e_pipe    — the same three sinks behind a trace::PipelineMux,
- *                 each on its own worker thread (--sim-jobs; pipeline
- *                 parallelism, bit-identical stats).
- *   e2e_multi4  — probe emission fanned through a PipelineMux into FOUR
- *                 full StreamCore+CacheSink+StreamRunner stacks with
- *                 distinct configs: the one-pass core::simulate
- *                 multi-config ablation shape. Reported in config-ops/s (4 simulated configs
- *                 per emitted op), so its ratio vs end_to_end is the
- *                 speedup over running the four configs sequentially.
+ *   e2e_multi4  — probe emission fanned through one inline MuxSink into
+ *                 FOUR full StreamCore+CacheSink+StreamRunner stacks
+ *                 with distinct configs: one emission pass, four
+ *                 simulations. Reported in config-ops/s (4 simulated
+ *                 configs per emitted op), so its ratio vs end_to_end
+ *                 is the saving of emitting once instead of four times.
  *   core_seg    — uarch::SegmentSim over the same trace (--segments /
  *                 --segment-warmup; segment parallelism, bounded
  *                 warmup error).
@@ -62,7 +59,7 @@
 #include "bpred/runner.hpp"
 #include "core/experiment.hpp"
 #include "lab/json.hpp"
-#include "trace/pipeline.hpp"
+#include "trace/parallel.hpp"
 #include "trace/probe.hpp"
 #include "trace/synth.hpp"
 #include "trace/trace_io.hpp"
@@ -204,7 +201,6 @@ struct Options {
     std::string baseline;
     double tolerance = 0.30;
     bool golden = false;
-    int simJobs = 0;    ///< Pipeline workers; 0 = auto-detect.
     int segments = 0;   ///< Segment count; 0 = auto-detect.
     int warmup = 8;     ///< Segment warmup blocks.
 };
@@ -242,7 +238,7 @@ printUsage(std::FILE *out)
     std::fprintf(out,
                  "usage: bench_simspeed [--quick|--full] [--reps=N] "
                  "[--out=FILE] [--baseline=FILE] [--tolerance=F] "
-                 "[--golden] [--sim-jobs=N] [--segments=N] "
+                 "[--golden] [--segments=N] "
                  "[--segment-warmup=K]  (0 = auto-detect)\n");
 }
 
@@ -269,8 +265,6 @@ parseArgs(int argc, char **argv)
                 o.baseline = a.substr(11);
             } else if (a.rfind("--tolerance=", 0) == 0) {
                 o.tolerance = parseTolerance(a.substr(12));
-            } else if (a.rfind("--sim-jobs=", 0) == 0) {
-                o.simJobs = parseIntAtLeast(a.substr(11), "--sim-jobs", 0);
             } else if (a.rfind("--segments=", 0) == 0) {
                 o.segments = parseIntAtLeast(a.substr(11), "--segments", 0);
             } else if (a.rfind("--segment-warmup=", 0) == 0) {
@@ -442,34 +436,9 @@ main(int argc, char **argv)
     mops.set("replay", lab::JsonValue::numberToken(fmt3(replay)));
     std::filesystem::remove(trace_path);
 
-    // Parallel modes (the PR-6 paths). e2e_pipe runs the same three
-    // sinks as end_to_end, each on a worker; core_seg slices the trace
-    // across cores. Worker counts resolve 0 = auto-detect.
-    const int sim_jobs = trace::resolveJobs(opt.simJobs);
-    double e2e_pipe = bestMops(opt.reps, [&] {
-        uarch::StreamCore sim;
-        uarch::CacheSink sink;
-        auto pred = bpred::makePredictor("tage-64KB");
-        bpred::StreamRunner runner(*pred);
-        trace::PipelineMux::Options popts;
-        popts.jobs = sim_jobs;
-        trace::PipelineMux mux({&sim, &sink, &runner}, popts);
-        trace::Probe probe{trace::ProbeConfig::streaming(true)};
-        probe.setSink(&mux);
-        trace::synthProbeWorkload(probe, opt.ops);
-        probe.flushToSink();
-        mux.flush();
-        return probe.recordedOps();
-    });
-    std::printf("  %-11s %8.2f Mops/s  (sim-jobs=%d, %.2fx end_to_end)\n",
-                "e2e_pipe", e2e_pipe, sim_jobs,
-                end_to_end > 0.0 ? e2e_pipe / end_to_end : 0.0);
-    mops.set("e2e_pipe", lab::JsonValue::numberToken(fmt3(e2e_pipe)));
-
-    // The one-pass multi-config shape core::simulate executes: one
-    // emission pass, four independent full sweep stacks. Counting each
-    // op once per config makes the e2e_multi4/end_to_end ratio the
-    // speedup over simulating the four configs sequentially.
+    // One emission pass, four independent full sweep stacks, all inline
+    // on this thread. Counting each op once per config makes the
+    // e2e_multi4/end_to_end ratio the saving over emitting four times.
     constexpr int kMultiConfigs = 4;
     double e2e_multi4 = bestMops(opt.reps, [&] {
         const int robs[kMultiConfigs] = {64, 128, 256, 384};
@@ -478,7 +447,7 @@ main(int argc, char **argv)
         std::vector<std::unique_ptr<bpred::BranchPredictor>> preds;
         std::vector<std::unique_ptr<bpred::StreamRunner>> runners;
         std::vector<std::unique_ptr<trace::MuxSink>> stacks;
-        std::vector<trace::TraceSink *> fanout;
+        trace::MuxSink fanout;
         for (int rob : robs) {
             uarch::CoreConfig ccfg;
             ccfg.robSize = rob;
@@ -491,25 +460,23 @@ main(int argc, char **argv)
             stack->add(cores.back().get());
             stack->add(caches.back().get());
             stack->add(runners.back().get());
-            fanout.push_back(stack.get());
+            fanout.add(stack.get());
             stacks.push_back(std::move(stack));
         }
-        trace::PipelineMux::Options popts;
-        popts.jobs = sim_jobs;
-        trace::PipelineMux mux(fanout, popts);
         trace::Probe probe{trace::ProbeConfig::streaming(true)};
-        probe.setSink(&mux);
+        probe.setSink(&fanout);
         trace::synthProbeWorkload(probe, opt.ops);
         probe.flushToSink();
-        mux.flush();
+        fanout.flush();
         return probe.recordedOps() * kMultiConfigs;
     });
-    std::printf("  %-11s %8.2f Mops/s  (%d configs, sim-jobs=%d, "
-                "%.2fx end_to_end)\n",
-                "e2e_multi4", e2e_multi4, kMultiConfigs, sim_jobs,
+    std::printf("  %-11s %8.2f Mops/s  (%d configs, %.2fx end_to_end)\n",
+                "e2e_multi4", e2e_multi4, kMultiConfigs,
                 end_to_end > 0.0 ? e2e_multi4 / end_to_end : 0.0);
     mops.set("e2e_multi4", lab::JsonValue::numberToken(fmt3(e2e_multi4)));
 
+    // Segment mode slices one trace across cores (core_seg, e2e_seg);
+    // its segment count resolves 0 = auto-detect.
     const int segments = trace::resolveJobs(opt.segments);
     double core_seg = bestMops(opt.reps, [&] {
         uarch::SegmentSimConfig scfg;
@@ -585,8 +552,8 @@ main(int argc, char **argv)
     // Keys absent from an older baseline are skipped, so adding new
     // measurements never breaks an existing gate.
     for (const char *key : {"probe_emit", "cache", "core", "bpred",
-                            "end_to_end", "capture", "replay", "e2e_pipe",
-                            "e2e_multi4", "core_seg", "e2e_seg"}) {
+                            "end_to_end", "capture", "replay", "e2e_multi4",
+                            "core_seg", "e2e_seg"}) {
         const lab::JsonValue *old_v = base_mops.find(key);
         if (old_v == nullptr) {
             continue;

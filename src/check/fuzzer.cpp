@@ -15,11 +15,11 @@
 #include "codec/mc.hpp"
 #include "codec/sad.hpp"
 #include "codec/transform.hpp"
+#include "core/experiment.hpp"
 #include "core/rng.hpp"
 #include "lab/json.hpp"
 #include "lab/store.hpp"
 #include "ladder/ladder.hpp"
-#include "trace/pipeline.hpp"
 #include "trace/synth.hpp"
 #include "trace/trace_io.hpp"
 #include "uarch/cache.hpp"
@@ -653,24 +653,25 @@ diffJobResult(const lab::JobResult &want, const lab::JobResult &got)
  * @p chunk_seed produces the identical record sequence (including chunk
  * boundaries) on every call, so the sequential reference and the
  * parallel runs under test consume exactly the same stream. The
- * ParallelDrop fault withholds the final branch record, which the
- * pipeline differential must flag as a predictor-count mismatch.
+ * ParallelDrop fault withholds the final op, which both the fan-out
+ * and the segments=1 differentials must flag as a stats mismatch.
  */
 void
 replayInterleaved(trace::TraceSink &sink, uint64_t chunk_seed,
                   const std::vector<TraceOp> &ops,
                   const std::vector<trace::BranchRecord> &branches,
-                  bool drop_last_branch)
+                  bool drop_last_op)
 {
     SplitMix64 rng(chunk_seed);
-    const size_t br_end =
-        branches.size() - (drop_last_branch && !branches.empty() ? 1 : 0);
+    const size_t op_end =
+        ops.size() - (drop_last_op && !ops.empty() ? 1 : 0);
+    const size_t br_end = branches.size();
     size_t op_pos = 0, br_pos = 0;
-    while (op_pos < ops.size() || br_pos < br_end) {
+    while (op_pos < op_end || br_pos < br_end) {
         const bool do_ops =
-            op_pos < ops.size() && (br_pos >= br_end || !rng.chance(1, 3));
+            op_pos < op_end && (br_pos >= br_end || !rng.chance(1, 3));
         if (do_ops) {
-            const size_t n = std::min<size_t>(ops.size() - op_pos,
+            const size_t n = std::min<size_t>(op_end - op_pos,
                                               rng.range(1, 6000));
             sink.onOps(ops.data() + op_pos, n);
             op_pos += n;
@@ -715,7 +716,7 @@ diffCacheSinks(const uarch::CacheSink &ref, const uarch::CacheSink &par)
                 out << ", ";
             }
             out << row.name << " seq=" << row.ref_v
-                << " pipe=" << row.par_v;
+                << " got=" << row.par_v;
         }
     }
     return out.str();
@@ -1331,10 +1332,9 @@ Fuzzer::runStoreCase(uint64_t seed, Divergence &out)
  * The parallel-simulation differential (ISSUE 6 layer 4). One seeded
  * case asserts, on the same interleaved op/branch/kernel stream:
  *
- *  1. pipeline bit-identity — PipelineMux{StreamCore, CacheSink,
- *     StreamRunner} on worker threads produces the exact per-sink
- *     results of a sequential MuxSink replay, any thread count, any
- *     queue depth;
+ *  1. fan-out bit-identity — core::simulate over K random configs
+ *     (batched blocks replayed on worker threads) produces the exact
+ *     CoreStats of K StreamCores fed the stream sequentially;
  *  2. segment exactness — SegmentSim's stitched event counters
  *     (instructions, retiring slots, conditional branches, L1D
  *     accesses) are bit-equal to the sequential core at every segment
@@ -1372,45 +1372,34 @@ Fuzzer::runParallelCase(uint64_t seed, Divergence &out)
         return true;
     };
 
-    // Sequential reference: one MuxSink replay on this thread. The
-    // injected ParallelDrop fault breaks only this side.
-    static const char *const kPredSpec = "tage-8KB";
-    uarch::StreamCore seq_core(cfg);
-    uarch::CacheSink seq_cache(cfg.mem);
-    auto seq_pred = bpred::makePredictor(kPredSpec);
-    bpred::StreamRunner seq_runner(*seq_pred);
-    trace::MuxSink seq_mux{&seq_core, &seq_cache, &seq_runner};
+    // Sequential reference: K StreamCores (the case's config first)
+    // behind one MuxSink on this thread. The injected ParallelDrop
+    // fault breaks only this side.
+    std::vector<uarch::CoreConfig> configs = {cfg};
+    const uint64_t extra = rng.range(1, 3);
+    for (uint64_t i = 0; i < extra; ++i) {
+        configs.push_back(randomCoreConfig(rng));
+    }
+    std::vector<uarch::StreamCore> seq_cores(configs.begin(),
+                                             configs.end());
+    trace::MuxSink seq_mux;
+    for (uarch::StreamCore &core : seq_cores) {
+        seq_mux.add(&core);
+    }
     replayInterleaved(seq_mux, chunk_seed, ops, branches, drop);
-    const uarch::CoreStats ref = seq_core.stats();
+    const uarch::CoreStats ref = seq_cores.front().stats();
 
-    // 1. Pipeline-parallel sinks: bit-identical per-sink results.
-    {
-        uarch::StreamCore core(cfg);
-        uarch::CacheSink cache(cfg.mem);
-        auto pred = bpred::makePredictor(kPredSpec);
-        bpred::StreamRunner runner(*pred);
-        trace::PipelineMux::Options popts;
-        popts.jobs = static_cast<int>(rng.range(2, 4));
-        popts.queueDepth = rng.chance(1, 3) ? 2 : 64;  // stress backpressure
-        trace::PipelineMux mux({&core, &cache, &runner}, popts);
-        replayInterleaved(mux, chunk_seed, ops, branches, false);
-
-        const std::string core_diff = diffStats(ref, core.stats());
-        if (!core_diff.empty()) {
-            return fail("pipeline core: " + core_diff);
-        }
-        const std::string cache_diff = diffCacheSinks(seq_cache, cache);
-        if (!cache_diff.empty()) {
-            return fail("pipeline cache: " + cache_diff);
-        }
-        const bpred::RunResult sr = seq_runner.result();
-        const bpred::RunResult pr = runner.result();
-        if (sr.branches != pr.branches || sr.misses != pr.misses) {
-            return fail("pipeline bpred: seq " +
-                        std::to_string(sr.branches) + " branches/" +
-                        std::to_string(sr.misses) + " misses, pipe " +
-                        std::to_string(pr.branches) + "/" +
-                        std::to_string(pr.misses));
+    // 1. The multi-config fan-out: bit-identical per-config stats.
+    const std::vector<uarch::CoreStats> fanned = core::simulate(
+        [&](trace::TraceSink &sink) {
+            replayInterleaved(sink, chunk_seed, ops, branches, false);
+        },
+        configs, core::RunScale{});
+    for (size_t i = 0; i < configs.size(); ++i) {
+        const std::string diff = diffStats(seq_cores[i].stats(), fanned[i]);
+        if (!diff.empty()) {
+            return fail("fan-out config " + std::to_string(i) + " of " +
+                        std::to_string(configs.size()) + ": " + diff);
         }
     }
 
@@ -2057,8 +2046,9 @@ Fuzzer::itersFor(Target target) const
       case Target::Bpred: return options_.quick ? 12 : 60;
       case Target::Kernels: return options_.quick ? 40 : 300;
       case Target::Store: return options_.quick ? 40 : 200;
-      // Parallel cases run the trace through five simulator instances
-      // (sequential reference, pipeline, and three segment variants).
+      // Parallel cases run the trace through up to eleven cores: K = 2-4
+      // sequential references, their K-config fan-out, and three
+      // segment variants.
       case Target::Parallel: return options_.quick ? 6 : 30;
       // Pure arithmetic over the profile registry: cheap, so plenty.
       case Target::Energy: return options_.quick ? 50 : 400;

@@ -1,16 +1,14 @@
 #include "core/experiment.hpp"
 
-#include <atomic>
 #include <charconv>
 #include <cmath>
 #include <cstring>
+#include <future>
 #include <limits>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 
 #include "backend/profile.hpp"
-#include "trace/pipeline.hpp"
+#include "trace/parallel.hpp"
 #include "uarch/segment.hpp"
 
 namespace vepro::core
@@ -39,12 +37,6 @@ RunScale::fromArgs(int argc, char **argv)
                 throw std::invalid_argument("--jobs must be >= 0");
             }
             scale.jobs = trace::resolveJobs(jobs);  // 0 = auto-detect
-        } else if (arg.rfind("--sim-jobs=", 0) == 0) {
-            int jobs = parseIntStrict(arg.substr(11), "--sim-jobs");
-            if (jobs < 0) {
-                throw std::invalid_argument("--sim-jobs must be >= 0");
-            }
-            scale.simJobs = trace::resolveJobs(jobs);  // 0 = auto-detect
         } else if (arg.rfind("--segments=", 0) == 0) {
             int segments = parseIntStrict(arg.substr(11), "--segments");
             if (segments < 0) {
@@ -219,6 +211,100 @@ coreConfigFor(const std::string &backend)
     return profile.core;
 }
 
+namespace
+{
+
+/**
+ * The K > 1 config fan-out of simulate(): buffers the stream in
+ * batches of whole blocks and replays each batch into every core on
+ * trace::parallelFor, one core per task, while the feed fills the next
+ * batch. Each core still consumes the whole stream in program order on
+ * one thread at a time, so its stats are bit-identical to a lone
+ * StreamCore fed directly.
+ */
+class FanOut final : public trace::BlockSink
+{
+  public:
+    /** Blocks per batch. One batch replays while the next fills, which
+     *  bounds the buffered trace at 2 x 64 blocks x 4096 ops x 24 B per
+     *  TraceOp ~ 12 MB, plus each block's events. */
+    static constexpr size_t kBatchBlocks = 64;
+
+    explicit FanOut(std::vector<uarch::StreamCore> &cores)
+        : cores_(cores), workers_(trace::resolveJobs(0))
+    {
+        filling_.reserve(kBatchBlocks);
+    }
+
+    FanOut(const FanOut &) = delete;  // the replay task holds `this`
+    FanOut &operator=(const FanOut &) = delete;
+
+    /** Replays the tail batch and flushes every core. */
+    void
+    flush() override
+    {
+        flushStage();
+        launch();
+        wait();
+        for (uarch::StreamCore &core : cores_) {
+            core.flush();
+        }
+    }
+
+  private:
+    void
+    takeBlock(trace::TraceBlock &&block) override
+    {
+        filling_.push_back(std::move(block));
+        if (filling_.size() == kBatchBlocks) {
+            launch();
+        }
+    }
+
+    /** Wait for the batch in flight, then start replaying the filled
+     *  one in the background. */
+    void
+    launch()
+    {
+        wait();
+        if (filling_.empty()) {
+            return;
+        }
+        replaying_ = std::move(filling_);
+        filling_.clear();
+        filling_.reserve(kBatchBlocks);
+        pending_ = std::async(std::launch::async, [this] {
+            // parallelFor clamps the workers to the core count.
+            trace::parallelFor(cores_.size(), workers_, [this](size_t i) {
+                // One span per block, as StreamCore::onBlock takes it:
+                // the block's events carry nothing the core reads.
+                for (const trace::TraceBlock &block : replaying_) {
+                    cores_[i].onOps(block.ops.data(), block.ops.size());
+                }
+            });
+        });
+    }
+
+    /** Join the batch in flight, rethrowing its failure. */
+    void
+    wait()
+    {
+        if (pending_.valid()) {
+            pending_.get();
+        }
+    }
+
+    std::vector<uarch::StreamCore> &cores_;
+    int workers_;
+    std::vector<trace::TraceBlock> filling_;
+    std::vector<trace::TraceBlock> replaying_;
+    /** Declared last: destroyed first, so an abandoned fan-out (the
+     *  feed threw) joins its replay before the batches go. */
+    std::future<void> pending_;
+};
+
+} // namespace
+
 std::vector<uarch::CoreStats>
 simulate(const Feed &feed, const std::vector<uarch::CoreConfig> &configs,
          const RunScale &scale)
@@ -245,21 +331,14 @@ simulate(const Feed &feed, const std::vector<uarch::CoreConfig> &configs,
         return {sim.stats()};
     }
 
-    std::vector<uarch::StreamCore> cores;
-    std::vector<trace::TraceSink *> sinks;
-    cores.reserve(configs.size());  // sinks point into cores
-    for (const uarch::CoreConfig &cfg : configs) {
-        sinks.push_back(&cores.emplace_back(cfg));
-    }
-    if (cores.size() == 1 && scale.simJobs <= 1) {
+    std::vector<uarch::StreamCore> cores(configs.begin(), configs.end());
+    if (cores.size() == 1) {
         feed(cores.front());
         cores.front().flush();
     } else {
-        trace::PipelineMux::Options opts;
-        opts.jobs = scale.simJobs;
-        trace::PipelineMux mux(std::move(sinks), opts);
-        feed(mux);
-        mux.flush();
+        FanOut fan(cores);
+        feed(fan);
+        fan.flush();
     }
 
     std::vector<uarch::CoreStats> stats;
@@ -280,50 +359,6 @@ runPoint(const encoders::EncoderModel &encoder, const video::Video &clip,
                           {coreConfigFor(scale.backend)}, scale)
                      .front();
     return point;
-}
-
-void
-parallelFor(size_t n, int jobs, const std::function<void(size_t)> &fn)
-{
-    if (jobs <= 1 || n <= 1) {
-        for (size_t i = 0; i < n; ++i) {
-            fn(i);
-        }
-        return;
-    }
-    size_t workers = std::min(static_cast<size_t>(jobs), n);
-    std::atomic<size_t> next{0};
-    std::atomic<bool> failed{false};
-    std::exception_ptr error;
-    std::mutex error_mutex;
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (size_t w = 0; w < workers; ++w) {
-        pool.emplace_back([&] {
-            while (!failed.load(std::memory_order_relaxed)) {
-                size_t i = next.fetch_add(1, std::memory_order_relaxed);
-                if (i >= n) {
-                    return;
-                }
-                try {
-                    fn(i);
-                } catch (...) {
-                    std::lock_guard<std::mutex> lock(error_mutex);
-                    if (!error) {
-                        error = std::current_exception();
-                    }
-                    failed.store(true, std::memory_order_relaxed);
-                    return;
-                }
-            }
-        });
-    }
-    for (std::thread &t : pool) {
-        t.join();
-    }
-    if (error) {
-        std::rethrow_exception(error);
-    }
 }
 
 std::vector<video::SuiteEntry>

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "encoders/encoder_model.hpp"
+#include "trace/parallel.hpp"
 #include "trace/sink.hpp"
 #include "uarch/core.hpp"
 #include "video/suite.hpp"
@@ -38,15 +39,6 @@ struct RunScale {
     /** Worker threads for independent sweep points (--jobs=N;
      *  0 = auto-detect, resolved to a concrete count at parse time). */
     int jobs = 1;
-    /**
-     * Pipeline-parallel simulation inside one sweep point
-     * (--sim-jobs=N): with N > 1 the point's sinks run on worker
-     * threads behind a trace::PipelineMux, overlapping the encode with
-     * the simulation. 0 = auto-detect; 1 = classic sequential fused
-     * path. Never changes the measured statistics (bit-identical by
-     * construction), so it is not part of a point's cache identity.
-     */
-    int simJobs = 1;
     /**
      * Segment-parallel core simulation (--segments=N): the point's
      * trace is split into N block-aligned segments simulated
@@ -75,10 +67,10 @@ struct RunScale {
     std::string storeDir = ".vepro-lab";
 
     /**
-     * Parse --quick / --full / --videos=a,b,c / --jobs=N / --sim-jobs=N
+     * Parse --quick / --full / --videos=a,b,c / --jobs=N
      * / --segments=N / --segment-warmup=K / --uncapped / --no-cache /
      * --store=DIR / --backend=NAME. Numeric flags are strict: trailing garbage
-     * ("--jobs=4abc") is rejected, not silently truncated. All three
+     * ("--jobs=4abc") is rejected, not silently truncated. Both
      * parallelism flags accept 0 = auto-detect via
      * std::thread::hardware_concurrency() (floor 1).
      */
@@ -156,10 +148,12 @@ uarch::CoreConfig coreConfigFor(const std::string &backend);
  * microarchitectural figure, trace replay and lab job.
  *
  * The feed runs once however many configs there are. With one config
- * and scale.simJobs <= 1 it feeds a uarch::StreamCore directly; with
- * several configs, or simJobs > 1, a trace::PipelineMux fans the stream
- * out (simJobs = its worker count; 1 runs every core inline). Each
- * config's stats are bit-identical either way. With scale.segments > 1
+ * it feeds a uarch::StreamCore directly. With several, the stream is
+ * buffered in fixed-size batches of whole blocks, and each batch is
+ * replayed into every config's StreamCore on trace::parallelFor (one
+ * worker per config up to the hardware thread count) while the feed
+ * fills the next; at most two batches (~12 MB) are held. Each config's
+ * stats are bit-identical to a one-config run. With scale.segments > 1
  * a uarch::SegmentSim is fed instead; that mode is per-config state, so
  * @throws std::invalid_argument unless there is exactly one config.
  * scale.backend is ignored — the configs are explicit. No configs, no
@@ -180,15 +174,11 @@ SweepPoint runPoint(const encoders::EncoderModel &encoder,
                     const RunScale &scale);
 
 /**
- * Run fn(0..n-1) on a pool of @p jobs worker threads (inline when jobs
- * <= 1 or n <= 1). Each index is claimed atomically, so items need not
- * take uniform time. Exceptions propagate: the first one thrown is
- * rethrown on the caller's thread after all workers join.
- *
- * Sweep points are independent — each worker's encode owns its probe
- * and sinks — which makes this the driver for every bench sweep.
+ * The thread pool (see trace/parallel.hpp). Sweep points are
+ * independent — each worker's encode owns its probe and sinks — which
+ * makes it the driver for every bench sweep.
  */
-void parallelFor(size_t n, int jobs, const std::function<void(size_t)> &fn);
+using trace::parallelFor;
 
 /** The suite entries selected by @p scale (all 15 when unfiltered). */
 std::vector<video::SuiteEntry> selectedVideos(const RunScale &scale);

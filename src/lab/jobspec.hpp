@@ -51,8 +51,7 @@ struct JobSpec {
      * measured numbers (bounded warmup error), so it is identity — but
      * only when active. With segments == 1 (sequential, the default)
      * neither field enters the canonical key, keeping every
-     * pre-existing store entry valid. Pipeline parallelism
-     * (RunScale::simJobs) is bit-identical and deliberately excluded.
+     * pre-existing store entry valid.
      */
     int segments = 1;
     int segmentWarmup = 8;  ///< Warmup blocks per segment.

@@ -5,7 +5,7 @@
 
 #include "backend/profile.hpp"
 #include "core/experiment.hpp"
-#include "trace/pipeline.hpp"
+#include "trace/parallel.hpp"
 
 namespace vepro::serve
 {
@@ -279,6 +279,19 @@ parseServeCli(const std::vector<std::string> &args)
 
     if (!cli.fleetBackends.empty() && !cli.fleet) {
         cli.error = "--backends only makes sense with --fleet";
+    }
+    // The fleet's blend deals its servers round-robin over the
+    // backends; with fewer servers than backends it would silently
+    // leave some out while still calling itself a blend.
+    const size_t fleet_backends = cli.fleetBackends.empty()
+                                      ? backend::profileNames().size()
+                                      : cli.fleetBackends.size();
+    if (cli.fleet && cli.error.empty() &&
+        static_cast<size_t>(cli.scenario.farm.servers) < fleet_backends) {
+        cli.error = "--fleet needs --servers >= the " +
+                    std::to_string(fleet_backends) +
+                    " fleet backends, got " +
+                    std::to_string(cli.scenario.farm.servers);
     }
     return cli;
 }

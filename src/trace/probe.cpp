@@ -162,7 +162,7 @@ Probe::flushBlock()
         return;
     }
     // A non-moving sink (the default) leaves the block with us; a
-    // moving one (PipelineMux, SegmentSim) takes the buffers. Either
+    // moving one (a BlockSink) takes the buffers. Either
     // way the stage comes back empty with standard capacity.
     if (sink_ != nullptr) {
         sink_->onBlock(std::move(stage_));

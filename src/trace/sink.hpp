@@ -62,8 +62,9 @@ struct TraceOp {
  * order. The probe emits the trace as a sequence of these blocks, and
  * ownership of a whole block can be transferred to a sink (see
  * TraceSink::onBlock) so the span can cross a thread boundary without
- * copying — the handoff unit of the pipeline-parallel simulation path
- * (PipelineMux, uarch::SegmentSim).
+ * copying — the handoff unit of the parallel simulation paths
+ * (BlockSink: core::simulate's multi-config fan-out,
+ * uarch::SegmentSim).
  *
  * Events interleave with ops by position: an event at pos P happened
  * after ops[0..P) and before ops[P..). replayBlock() reconstructs the
@@ -164,6 +165,43 @@ class TraceSink
 
     /** End of stream: complete pending work, finalise results. */
     virtual void flush() {}
+};
+
+/**
+ * Base for sinks that consume the trace as whole TraceBlocks (the
+ * multi-config fan-out in core::simulate, uarch::SegmentSim). Whole
+ * blocks handed over through onBlock pass straight through;
+ * record-at-a-time deliveries are staged into blocks of up to
+ * TraceBlock::kOps ops (or kOps events). Either way each block reaches
+ * takeBlock() once, in program order, and the subclass may move from
+ * it. A subclass's flush() calls flushStage() first to hand over the
+ * partial tail block.
+ */
+class BlockSink : public TraceSink
+{
+  public:
+    void onOp(const TraceOp &op) final;
+    void onOps(const TraceOp *ops, size_t n) final;
+    void onBranch(const BranchRecord &branch) final;
+    void onKernel(uint64_t site) final;
+    void onBlock(TraceBlock &&block) final;
+
+  protected:
+    BlockSink() { stage_.reserveStandard(); }
+
+    /** One block of the stream, in program order. */
+    virtual void takeBlock(TraceBlock &&block) = 0;
+
+    /** Hand the staged partial block, if any, to takeBlock(). */
+    void flushStage();
+
+    /** True while records wait in the staging block. */
+    bool staging() const { return !stage_.empty(); }
+
+  private:
+    void pushEvent(const TraceBlock::Event &ev);
+
+    TraceBlock stage_;
 };
 
 /** Fans one trace stream out to several sinks, in registration order. */

@@ -1,12 +1,8 @@
 #include "uarch/segment.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
-#include <stdexcept>
-#include <thread>
 
-#include "trace/pipeline.hpp"
+#include "trace/parallel.hpp"
 
 namespace vepro::uarch
 {
@@ -16,34 +12,12 @@ using trace::TraceBlock;
 struct SegmentSim::Impl {
     SegmentSimConfig config;
     std::vector<TraceBlock> blocks;
-    TraceBlock stage;
     CoreStats stitched;
     bool finished = false;
     int segments_used = 0;
     uint64_t warmup_ops = 0;
 
-    explicit Impl(const SegmentSimConfig &cfg) : config(cfg)
-    {
-        stage.reserveStandard();
-    }
-
-    void
-    publishStage()
-    {
-        if (stage.empty()) {
-            return;
-        }
-        blocks.push_back(std::move(stage));
-        stage = TraceBlock{};
-        stage.reserveStandard();
-    }
-
-    void
-    capture(TraceBlock &&block)
-    {
-        publishStage();
-        blocks.push_back(std::move(block));
-    }
+    explicit Impl(const SegmentSimConfig &cfg) : config(cfg) {}
 
     /** Simulate blocks [first, last) on a fresh core, with the warmup
      *  prefix [wfirst, first) replayed and discarded beforehand. */
@@ -94,13 +68,10 @@ struct SegmentSim::Impl {
     void
     run()
     {
-        publishStage();
         const size_t nblocks = blocks.size();
-        int want = config.segments > 0
-                       ? config.segments
-                       : trace::resolveJobs(config.segments);
-        segments_used = static_cast<int>(std::min<size_t>(
-            std::max(want, 1), std::max<size_t>(nblocks, 1)));
+        segments_used = static_cast<int>(
+            std::min<size_t>(trace::resolveJobs(config.segments),
+                             std::max<size_t>(nblocks, 1)));
         const size_t nseg = static_cast<size_t>(segments_used);
         const size_t warm =
             config.warmupBlocks > 0
@@ -120,51 +91,7 @@ struct SegmentSim::Impl {
                            &warm_counts[i]);
         };
 
-        const int jobs = std::min<int>(trace::resolveJobs(config.jobs),
-                                       segments_used);
-        if (jobs <= 1 || nseg <= 1) {
-            for (size_t i = 0; i < nseg; ++i) {
-                runOne(i);
-            }
-        } else {
-            // uarch sits below core::parallelFor in the layering, so
-            // the segment loop carries its own claim-by-index pool.
-            std::atomic<size_t> next{0};
-            std::vector<std::exception_ptr> errors(
-                static_cast<size_t>(jobs));
-            std::vector<std::thread> pool;
-            pool.reserve(static_cast<size_t>(jobs));
-            for (int w = 0; w < jobs; ++w) {
-                pool.emplace_back([&, w] {
-                    try {
-                        for (;;) {
-                            const size_t i = next.fetch_add(
-                                1, std::memory_order_relaxed);
-                            if (i >= nseg) {
-                                return;
-                            }
-                            runOne(i);
-                        }
-                    } catch (...) {
-                        errors[static_cast<size_t>(w)] =
-                            std::current_exception();
-                        // Drain remaining claims so siblings finish.
-                        while (next.fetch_add(1,
-                                              std::memory_order_relaxed) <
-                               nseg) {
-                        }
-                    }
-                });
-            }
-            for (std::thread &t : pool) {
-                t.join();
-            }
-            for (std::exception_ptr &err : errors) {
-                if (err) {
-                    std::rethrow_exception(err);
-                }
-            }
-        }
+        trace::parallelFor(nseg, trace::resolveJobs(config.jobs), runOne);
 
         // Stitch in segment order: the sum is independent of which
         // thread simulated which segment, and of completion order.
@@ -184,62 +111,9 @@ SegmentSim::SegmentSim(const SegmentSimConfig &config)
 SegmentSim::~SegmentSim() = default;
 
 void
-SegmentSim::onOp(const trace::TraceOp &op)
+SegmentSim::takeBlock(TraceBlock &&block)
 {
-    TraceBlock &stage = impl_->stage;
-    if (stage.ops.size() >= TraceBlock::kOps) {
-        impl_->publishStage();
-    }
-    stage.ops.push_back(op);
-}
-
-void
-SegmentSim::onOps(const trace::TraceOp *ops, size_t n)
-{
-    TraceBlock &stage = impl_->stage;
-    while (n > 0) {
-        if (stage.ops.size() >= TraceBlock::kOps) {
-            impl_->publishStage();
-        }
-        const size_t take =
-            std::min(n, TraceBlock::kOps - stage.ops.size());
-        stage.ops.insert(stage.ops.end(), ops, ops + take);
-        ops += take;
-        n -= take;
-    }
-}
-
-void
-SegmentSim::onBranch(const trace::BranchRecord &branch)
-{
-    TraceBlock::Event ev;
-    ev.pos = static_cast<uint32_t>(impl_->stage.ops.size());
-    ev.kind = TraceBlock::Event::Branch;
-    ev.taken = branch.taken;
-    ev.value = branch.pc;
-    impl_->stage.events.push_back(ev);
-    if (impl_->stage.events.size() >= TraceBlock::kOps) {
-        impl_->publishStage();
-    }
-}
-
-void
-SegmentSim::onKernel(uint64_t site)
-{
-    TraceBlock::Event ev;
-    ev.pos = static_cast<uint32_t>(impl_->stage.ops.size());
-    ev.kind = TraceBlock::Event::Kernel;
-    ev.value = site;
-    impl_->stage.events.push_back(ev);
-    if (impl_->stage.events.size() >= TraceBlock::kOps) {
-        impl_->publishStage();
-    }
-}
-
-void
-SegmentSim::onBlock(TraceBlock &&block)
-{
-    impl_->capture(std::move(block));
+    impl_->blocks.push_back(std::move(block));
 }
 
 void
@@ -248,6 +122,7 @@ SegmentSim::flush()
     if (impl_->finished) {
         return;
     }
+    flushStage();
     impl_->run();
 }
 
@@ -272,7 +147,7 @@ SegmentSim::segmentsUsed() const
 size_t
 SegmentSim::blockCount() const
 {
-    return impl_->blocks.size() + (impl_->stage.empty() ? 0 : 1);
+    return impl_->blocks.size() + (staging() ? 1 : 0);
 }
 
 uint64_t

@@ -7,12 +7,13 @@
  * into N segments, simulate each on its own thread, and stitch the
  * statistics deterministically in segment order.
  *
- * Pipeline parallelism (trace::PipelineMux) is capped by the slowest
- * sink — usually StreamCore itself. SegmentSim breaks that wall: it
- * captures the trace as a sequence of TraceBlocks (taking ownership of
- * each block via the onBlock move path, so capture adds no copying),
- * then simulates N contiguous segments concurrently, each on a private
- * StreamCore.
+ * One StreamCore consumes its trace serially, so a single config's
+ * simulation cannot spread over threads by fanning the stream out.
+ * SegmentSim splits the trace instead: it captures the trace as a
+ * sequence of TraceBlocks (taking ownership of each block via the
+ * onBlock move path, so capture adds no copying), then simulates N
+ * contiguous segments concurrently on trace::parallelFor, each on a
+ * private StreamCore.
  *
  * Every segment after the first replays a configurable warmup prefix —
  * the last `warmupBlocks` blocks of the preceding segment — before its
@@ -68,10 +69,9 @@ struct SegmentSimConfig {
  *
  * Capture materialises the trace (O(trace length) memory, in blocks) —
  * the price of simulating the middle of the trace before its start has
- * finished. Use PipelineMux when O(1) trace memory matters more than
- * core-model throughput.
+ * finished. A plain StreamCore keeps O(1) trace memory.
  */
-class SegmentSim final : public trace::TraceSink
+class SegmentSim final : public trace::BlockSink
 {
   public:
     explicit SegmentSim(const SegmentSimConfig &config);
@@ -79,13 +79,6 @@ class SegmentSim final : public trace::TraceSink
 
     SegmentSim(const SegmentSim &) = delete;
     SegmentSim &operator=(const SegmentSim &) = delete;
-
-    void onOp(const trace::TraceOp &op) override;
-    void onOps(const trace::TraceOp *ops, size_t n) override;
-    void onBranch(const trace::BranchRecord &branch) override;
-    void onKernel(uint64_t site) override;
-    /** Takes ownership of the block (moves it into the capture). */
-    void onBlock(trace::TraceBlock &&block) override;
 
     /** Run the segments and stitch the statistics. */
     void flush() override;
@@ -103,6 +96,9 @@ class SegmentSim final : public trace::TraceSink
     uint64_t warmupOps() const;
 
   private:
+    /** Takes ownership of the block (moves it into the capture). */
+    void takeBlock(trace::TraceBlock &&block) override;
+
     struct Impl;
     std::unique_ptr<Impl> impl_;
 };

@@ -107,9 +107,18 @@ TEST(RunScale, ParsesFlags)
     EXPECT_EQ(filt.videos[1], "cat");
     EXPECT_EQ(selectedVideos(filt).size(), 2u);
 
-    const char *argv4[] = {"bench", "--bogus"};
-    EXPECT_THROW(RunScale::fromArgs(2, const_cast<char **>(argv4)),
-                 std::invalid_argument);
+    // A removed flag is an unknown argument like any other.
+    for (const char *flag : {"--bogus", "--sim-jobs=2"}) {
+        const char *argv[] = {"bench", flag};
+        try {
+            RunScale::fromArgs(2, const_cast<char **>(argv));
+            ADD_FAILURE() << flag << " was accepted";
+        } catch (const std::invalid_argument &err) {
+            EXPECT_NE(std::string(err.what()).find("unknown argument"),
+                      std::string::npos)
+                << err.what();
+        }
+    }
 }
 
 TEST(RunScale, JobsParsingIsStrict)
@@ -556,8 +565,8 @@ TEST(GoldenStats, PredictorMissesOnSynthBranches)
 
 // ---------------------------------------------------------------------------
 // One-pass multi-config simulate(): the determinism contract is
-// BIT-IDENTITY with sequential runPoint, not "close enough" — the mux
-// preserves per-sink record order exactly.
+// BIT-IDENTITY with sequential runPoint, not "close enough" — the
+// fan-out feeds every core the whole stream in program order.
 
 video::Video
 multiClip()
@@ -608,15 +617,12 @@ TEST(Simulate, MultiConfigBitIdenticalToSequentialRunPoint)
     SweepPoint seq_grav = runPoint(*enc, clip, 40, 6, grav_scale);
 
     // One pass through both configs, fanned out on worker threads.
-    RunScale multi_scale = scale;
-    multi_scale.simJobs = 2;
     std::vector<uarch::CoreConfig> configs = {
         uarch::CoreConfig{},
         backend::resolveProfile("graviton-like").core};
     encoders::EncodeResult encoded;
     std::vector<uarch::CoreStats> multi = simulate(
-        encodeFeed(*enc, clip, 40, 6, multi_scale, encoded), configs,
-        multi_scale);
+        encodeFeed(*enc, clip, 40, 6, scale, encoded), configs, scale);
     ASSERT_EQ(multi.size(), 2u);
     expectSameStats(multi[0], seq_default.core);
     expectSameStats(multi[1], seq_grav.core);
@@ -628,40 +634,100 @@ TEST(Simulate, MultiConfigBitIdenticalToSequentialRunPoint)
     EXPECT_NE(multi[0].cycles, multi[1].cycles);
 }
 
-TEST(Simulate, InlineAndParallelFanOutAgree)
-{
-    video::Video clip = multiClip();
-    auto enc = encoders::encoderByName("x264");
-    RunScale scale;
-    scale.maxTraceOps = 120'000;
+/**
+ * A synthetic op stream with branch and kernel records between the ops,
+ * long enough to fill more than three of simulate()'s 64-block batches
+ * (and end in a partial one). Every simulate() test above fits in one.
+ */
+struct FanOutStream {
+    std::vector<trace::TraceOp> ops;
+    std::vector<trace::BranchRecord> branches;
+};
 
+FanOutStream
+fanOutStream()
+{
+    trace::SynthConfig cfg;
+    cfg.ops = 3 * 64 * trace::TraceBlock::kOps + 123'457;
+    return {trace::synthTrace(cfg), trace::synthBranches(40'000)};
+}
+
+/** Delivers @p s as whole 4096-op blocks, moved into the sink. */
+Feed
+blockFeed(const FanOutStream &s)
+{
+    return [&s](trace::TraceSink &sink) {
+        size_t br = 0;
+        for (size_t pos = 0; pos < s.ops.size();
+             pos += trace::TraceBlock::kOps) {
+            trace::TraceBlock block;
+            const size_t end =
+                std::min(pos + trace::TraceBlock::kOps, s.ops.size());
+            block.ops.assign(s.ops.begin() + static_cast<long>(pos),
+                             s.ops.begin() + static_cast<long>(end));
+            block.events.push_back(
+                {0, trace::TraceBlock::Event::Kernel, false, 0x4100});
+            for (uint32_t at = 512; at < block.ops.size() &&
+                                    br < s.branches.size();
+                 at += 512, ++br) {
+                block.events.push_back({at, trace::TraceBlock::Event::Branch,
+                                        s.branches[br].taken,
+                                        s.branches[br].pc});
+            }
+            sink.onBlock(std::move(block));
+        }
+    };
+}
+
+/** Delivers @p s record at a time: odd-length onOps spans with branch
+ *  and kernel records between them, so every block is staged. */
+Feed
+spanFeed(const FanOutStream &s)
+{
+    return [&s](trace::TraceSink &sink) {
+        size_t pos = 0, br = 0, span = 1;
+        while (pos < s.ops.size()) {
+            const size_t n = std::min(span, s.ops.size() - pos);
+            sink.onOps(s.ops.data() + pos, n);
+            pos += n;
+            span = span % 4099 + 7;  // odd lengths, 1..4105
+            if (br < s.branches.size()) {
+                sink.onBranch(s.branches[br++]);
+            }
+            if (span % 5 == 0) {
+                sink.onKernel(0x4200);
+            }
+        }
+    };
+}
+
+TEST(Simulate, FanOutEqualsOneConfigRuns)
+{
+    const FanOutStream stream = fanOutStream();
     std::vector<uarch::CoreConfig> configs;
-    const int robs[] = {64, 128, 256, 384};
-    for (int rob : robs) {
+    for (int rob : {64, 192, 384}) {
         uarch::CoreConfig cfg;
         cfg.robSize = rob;
         configs.push_back(cfg);
     }
-
-    RunScale inline_scale = scale;
-    inline_scale.simJobs = 1;  // fan-out on the producing thread
-    RunScale pool_scale = scale;
-    pool_scale.simJobs = 4;  // one worker per config
-    encoders::EncodeResult ea, eb;
-    std::vector<uarch::CoreStats> a = simulate(
-        encodeFeed(*enc, clip, 35, 5, inline_scale, ea), configs,
-        inline_scale);
-    std::vector<uarch::CoreStats> b = simulate(
-        encodeFeed(*enc, clip, 35, 5, pool_scale, eb), configs, pool_scale);
-    ASSERT_EQ(a.size(), configs.size());
-    ASSERT_EQ(b.size(), configs.size());
-    for (size_t i = 0; i < configs.size(); ++i) {
-        expectSameStats(a[i], b[i]);
+    for (const auto &[name, feed] :
+         {std::pair{"whole blocks", blockFeed(stream)},
+          std::pair{"odd onOps spans", spanFeed(stream)}}) {
+        SCOPED_TRACE(name);
+        const std::vector<uarch::CoreStats> fanned =
+            simulate(feed, configs, {});
+        ASSERT_EQ(fanned.size(), configs.size());
+        for (size_t i = 0; i < configs.size(); ++i) {
+            const std::vector<uarch::CoreStats> one =
+                simulate(feed, {configs[i]}, {});
+            ASSERT_EQ(one.size(), 1u);
+            expectSameStats(fanned[i], one.front());
+        }
+        // The geometries genuinely simulate apart (no sink aliasing),
+        // and the smallest ROB is the clear loser.
+        EXPECT_NE(fanned[0].cycles, fanned[1].cycles);
+        EXPECT_GT(fanned[0].cycles, fanned.back().cycles);
     }
-    // The four geometries genuinely simulate apart (no sink aliasing),
-    // and the smallest ROB is the clear loser.
-    EXPECT_NE(a[0].cycles, a[1].cycles);
-    EXPECT_GT(a[0].cycles, a.back().cycles);
 }
 
 TEST(Simulate, SegmentModeTakesOneConfigAndEmptyConfigsSkipTheFeed)
@@ -707,10 +773,7 @@ TEST(Simulate, DiskReplayMatchesLiveFanOut)
     const Feed replay = [&source](trace::TraceSink &sink) {
         source.replay(sink);
     };
-    RunScale replay_scale;
-    replay_scale.simJobs = 2;
-    std::vector<uarch::CoreStats> replayed =
-        simulate(replay, configs, replay_scale);
+    std::vector<uarch::CoreStats> replayed = simulate(replay, configs, {});
     ASSERT_EQ(replayed.size(), live.size());
     for (size_t i = 0; i < configs.size(); ++i) {
         expectSameStats(replayed[i], live[i]);

@@ -27,7 +27,7 @@
 #include "serve/policy.hpp"
 #include "serve/scenario.hpp"
 #include "serve/traffic.hpp"
-#include "trace/pipeline.hpp"
+#include "trace/parallel.hpp"
 
 namespace vepro::serve
 {
@@ -751,6 +751,27 @@ TEST(ServeCli, BackendFlagsValidateAndOverride)
     ASSERT_EQ(fleet.fleetBackends.size(), 2u);
     EXPECT_EQ(fleet.fleetBackends[0], "xeon-bdw");
     EXPECT_EQ(fleet.fleetBackends[1], "hw-enc");
+}
+
+TEST(ServeCli, FleetNeedsAServerPerBackend)
+{
+    // A blend with fewer servers than backends would leave some out.
+    const size_t all = backend::profileNames().size();
+    ASSERT_GE(all, 2u);
+    const std::string short_by_one = "--servers=" + std::to_string(all - 1);
+    const ServeCli few = parseServeCli({"--fleet", "--quick", short_by_one});
+    EXPECT_NE(few.error.find("--servers"), std::string::npos) << few.error;
+
+    const std::string exact = "--servers=" + std::to_string(all);
+    EXPECT_TRUE(parseServeCli({"--fleet", "--quick", exact}).error.empty());
+    // --backends sets the count; without --fleet there is no blend.
+    EXPECT_TRUE(parseServeCli({"--fleet", "--backends=xeon-bdw,hw-enc",
+                               "--servers=2"})
+                    .error.empty());
+    EXPECT_FALSE(parseServeCli({"--fleet", "--backends=xeon-bdw,hw-enc",
+                                "--servers=1"})
+                     .error.empty());
+    EXPECT_TRUE(parseServeCli({"--servers=1"}).error.empty());
 }
 
 TEST(ServeCli, RungMixFlagParsesAndValidates)
