@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -13,10 +14,14 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/rng.hpp"
+#include "encoders/registry.hpp"
 #include "trace/opclass.hpp"
 #include "trace/probe.hpp"
 #include "trace/profile.hpp"
+#include "trace/synth.hpp"
 #include "trace/trace_io.hpp"
+#include "video/generator.hpp"
 
 namespace vepro::trace
 {
@@ -950,6 +955,215 @@ TEST(TraceFile, MetadataBitFlipFailsChecksum)
         expectTraceError([&] { FileSource(path).replay(sink); }, path);
     EXPECT_NE(what.find("checksum mismatch"), std::string::npos) << what;
     std::filesystem::remove(path);
+}
+
+// ---- TraceFile byte golden -----------------------------------------
+
+namespace
+{
+
+uint64_t
+fnvBytes(const std::vector<char> &bytes)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (char c : bytes) {
+        h = (h ^ static_cast<uint8_t>(c)) * 0x100000001b3ULL;
+    }
+    return h;
+}
+
+/** FNV-1a digest of every op, branch and kernel entry in stream order. */
+class StreamDigest final : public TraceSink
+{
+  public:
+    void
+    onOp(const TraceOp &op) override
+    {
+        mix(0x4f);
+        mix(op.pc);
+        mix(op.addr);
+        mix(static_cast<uint64_t>(op.cls));
+        mix(op.taken);
+        mix(op.dep1);
+        mix(op.dep2);
+        mix(op.foreign);
+    }
+
+    void
+    onBranch(const BranchRecord &branch) override
+    {
+        mix(0x42);
+        mix(branch.pc);
+        mix(branch.taken);
+    }
+
+    void
+    onKernel(uint64_t site) override
+    {
+        mix(0x4b);
+        mix(site);
+    }
+
+    uint64_t value() const { return h_; }
+
+  private:
+    void
+    mix(uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h_ = (h_ ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ULL;
+        }
+    }
+
+    uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+/**
+ * The synthFuzzTrace op stream with synthFuzzBranches branches and
+ * kernel entries at seeded positions, cut into irregular blocks of up
+ * to 9000 ops (past the 4096 a staging FileSink writes), so a single
+ * block can carry hundreds of distinct descriptors and values.
+ */
+std::vector<TraceBlock>
+fuzzBlocks()
+{
+    core::SplitMix64 rng(12);
+    const std::vector<TraceOp> ops = synthFuzzTrace(rng.fork(), 40'000);
+    const std::vector<BranchRecord> branches =
+        synthFuzzBranches(rng.fork(), 12'000);
+    std::vector<TraceBlock> blocks;
+    size_t op_at = 0;
+    size_t br_at = 0;
+    while (op_at < ops.size()) {
+        TraceBlock b;
+        const size_t n = std::min<size_t>(ops.size() - op_at,
+                                          rng.range(1, 9000));
+        b.ops.assign(ops.begin() + static_cast<ptrdiff_t>(op_at),
+                     ops.begin() + static_cast<ptrdiff_t>(op_at + n));
+        op_at += n;
+        std::vector<uint32_t> pos(rng.below(n / 2 + 2));
+        for (uint32_t &p : pos) {
+            p = static_cast<uint32_t>(rng.below(n + 1));
+        }
+        std::sort(pos.begin(), pos.end());
+        for (uint32_t p : pos) {
+            TraceBlock::Event e;
+            e.pos = p;
+            if (rng.chance(1, 16) || br_at == branches.size()) {
+                e.kind = TraceBlock::Event::Kernel;
+                e.value = 0x4000 + rng.below(8) * 0x100;
+            } else {
+                e.taken = branches[br_at].taken;
+                e.value = branches[br_at].pc;
+                ++br_at;
+            }
+            b.events.push_back(e);
+        }
+        blocks.push_back(std::move(b));
+    }
+    return blocks;
+}
+
+struct FileGolden {
+    uint64_t fileDigest;
+    uint64_t streamDigest;
+    uint64_t fileBytes;
+};
+
+/** Digest the file at @p path and the stream it replays, then remove it. */
+FileGolden
+digestCapture(const std::string &path)
+{
+    const std::vector<char> bytes = readAll(path);
+    StreamDigest d;
+    FileSource(path).replay(d);
+    std::filesystem::remove(path);
+    return {fnvBytes(bytes), d.value(), bytes.size()};
+}
+
+void
+expectGolden(const FileGolden &got, const FileGolden &want)
+{
+    EXPECT_EQ(got.fileDigest, want.fileDigest);
+    EXPECT_EQ(got.streamDigest, want.streamDigest);
+    EXPECT_EQ(got.fileBytes, want.fileBytes);
+}
+
+} // namespace
+
+/** Record-at-a-time intake: FileSink restages the fuzz stream into
+ *  standard blocks. The file bytes themselves are pinned, so a codec
+ *  change that keeps the format must leave them unmoved. */
+TEST(TraceFileGolden, RecordAtATimeCapture)
+{
+    const std::string path = "/tmp/vepro_test_golden_records.vetf";
+    {
+        FileSink sink(path);
+        for (const TraceBlock &b : fuzzBlocks()) {
+            replayBlock(b, sink);
+        }
+        sink.setMetadata("golden-records");
+        sink.flush();
+    }
+    expectGolden(digestCapture(path),
+                 {4692386514002270033ULL, 14719467623996867876ULL, 221602});
+}
+
+/** Whole-block intake: each irregular block is encoded as it came. */
+TEST(TraceFileGolden, WholeBlockCapture)
+{
+    const std::string path = "/tmp/vepro_test_golden_blocks.vetf";
+    {
+        FileSink sink(path);
+        for (TraceBlock &b : fuzzBlocks()) {
+            sink.onBlock(std::move(b));
+        }
+        sink.setMetadata("golden-blocks");
+        sink.flush();
+    }
+    expectGolden(digestCapture(path),
+                 {1204359234097034634ULL, 14719467623996867876ULL, 215378});
+}
+
+/** Capped, sampled captures of a tiny clip from two real encoders,
+ *  sealed with metadata the way the lab's trace cache writes them. */
+TEST(TraceFileGolden, CappedEncoderCaptures)
+{
+    video::GeneratorParams gp;
+    gp.width = 64;
+    gp.height = 48;
+    gp.frames = 3;
+    gp.seed = 17;
+    const video::Video clip = video::generate("tiny", gp);
+    ProbeConfig pc;
+    pc.collectOps = true;
+    pc.collectBranches = true;
+    pc.maxOps = 60'000;
+    pc.opWindow = 9'000;
+    pc.opInterval = 20'000;
+    pc.maxBranches = 40'000;
+    const std::vector<std::pair<std::string, FileGolden>> golden = {
+        {"SVT-AV1",
+         {4076777670835750157ULL, 1372724337356360710ULL, 384325}},
+        {"x264",
+         {9734958769720178790ULL, 18144609993803261859ULL, 442326}},
+    };
+    for (const auto &[name, want] : golden) {
+        SCOPED_TRACE(name);
+        const auto enc = encoders::encoderByName(name);
+        encoders::EncodeParams p;
+        p.crf = enc->crfRange() * 5 / 8;
+        p.preset = enc->presetInverted() ? 3 : 5;
+        const std::string path = "/tmp/vepro_test_golden_" + name + ".vetf";
+        {
+            FileSink sink(path);
+            sink.deferSeal(true);
+            enc->encode(clip, p, pc, false, &sink);
+            sink.setMetadata("{\"encoder\":\"" + name + "\"}");
+            sink.seal();
+        }
+        expectGolden(digestCapture(path), want);
+    }
 }
 
 // ---- Streaming sink architecture -----------------------------------
