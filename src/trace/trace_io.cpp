@@ -21,13 +21,20 @@ constexpr uint32_t kMaxMetadataBytes = 1u << 24;
 constexpr uint64_t kFnvOffset = 14695981039346656037ULL;
 constexpr uint64_t kFnvPrime = 1099511628211ULL;
 
+/// One FNV-1a step. The codec folds every payload byte in as it writes
+/// or reads it, so the checksum costs no second pass over the payload.
+inline uint64_t
+fnvStep(uint64_t h, uint8_t byte)
+{
+    return (h ^ byte) * kFnvPrime;
+}
+
 uint64_t
 fnv1a64(uint64_t h, const void *data, size_t n)
 {
     const auto *p = static_cast<const unsigned char *>(data);
     for (size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= kFnvPrime;
+        h = fnvStep(h, p[i]);
     }
     return h;
 }
@@ -37,16 +44,6 @@ fail(const std::string &path, uint64_t offset, const std::string &what)
 {
     throw std::runtime_error("trace: " + path + " @ offset " +
                              std::to_string(offset) + ": " + what);
-}
-
-void
-putVarint(std::string &out, uint64_t v)
-{
-    while (v >= 0x80) {
-        out.push_back(static_cast<char>(static_cast<uint8_t>(v) | 0x80));
-        v >>= 7;
-    }
-    out.push_back(static_cast<char>(static_cast<uint8_t>(v)));
 }
 
 uint64_t
@@ -62,33 +59,94 @@ unzigzag(uint64_t v)
     return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
 }
 
-/// Bounds-checked cursor over one block payload. Errors are plain
-/// std::runtime_error; the caller re-throws with path + block offset.
+/// Longest LEB128 varint of a u64.
+constexpr size_t kMaxVarint = 10;
+
+/// Unchecked cursor into a payload buffer already sized for the worst
+/// case (maxPayloadBytes), folding each byte it writes into @ref sum.
+struct ByteWriter {
+    uint8_t *p;
+    uint64_t sum;
+
+    void
+    u8(uint8_t byte)
+    {
+        *p++ = byte;
+        sum = fnvStep(sum, byte);
+    }
+
+    void
+    varint(uint64_t v)
+    {
+        while (v >= 0x80) {
+            u8(static_cast<uint8_t>(v) | 0x80);
+            v >>= 7;
+        }
+        u8(static_cast<uint8_t>(v));
+    }
+};
+
+[[noreturn]] void
+throwTruncated(const char *what)
+{
+    throw std::runtime_error(std::string("truncated ") + what);
+}
+
+/// A varint's value and its length in bytes.
+struct VarintSpan {
+    uint64_t value;
+    size_t len;
+};
+
+/// Scan the varint at @p p without consuming it. Kept apart from the
+/// reader so the reader's cursor and checksum stay in registers.
+VarintSpan
+scanVarint(const uint8_t *p, const uint8_t *end, const char *what)
+{
+    uint64_t v = 0;
+    for (size_t i = 0; i < kMaxVarint; ++i) {
+        if (p + i == end) {
+            throwTruncated(what);
+        }
+        v |= static_cast<uint64_t>(p[i] & 0x7f) << (7 * i);
+        if ((p[i] & 0x80) == 0) {
+            return {v, i + 1};
+        }
+    }
+    throw std::runtime_error(std::string("overlong varint in ") + what);
+}
+
+/// Bounds-checked cursor over one block payload, folding each byte it
+/// consumes into @ref sum. Errors are plain std::runtime_error; the
+/// caller re-throws with path + block offset.
 struct ByteReader {
     const uint8_t *p;
     const uint8_t *end;
+    uint64_t sum;
 
     uint8_t
     u8(const char *what)
     {
         if (p == end) {
-            throw std::runtime_error(std::string("truncated ") + what);
+            throwTruncated(what);
         }
-        return *p++;
+        const uint8_t byte = *p++;
+        sum = fnvStep(sum, byte);
+        return byte;
     }
 
     uint64_t
     varint(const char *what)
     {
-        uint64_t v = 0;
-        for (int shift = 0; shift < 64; shift += 7) {
-            const uint8_t byte = u8(what);
-            v |= static_cast<uint64_t>(byte & 0x7f) << shift;
-            if ((byte & 0x80) == 0) {
-                return v;
-            }
+        if (p != end && *p < 0x80) {  // one-byte varints dominate
+            return u8(what);
         }
-        throw std::runtime_error(std::string("overlong varint in ") + what);
+        const VarintSpan v = scanVarint(p, end, what);
+        for (size_t i = 0; i < v.len; ++i) {
+            sum = fnvStep(sum, p[i]);
+        }
+        p += v.len;
+        return v.value;
     }
 };
 
@@ -97,9 +155,9 @@ struct ByteReader {
 /// foreign, deps) shapes per block, so most ops reference an entry with
 /// a one-byte code instead of re-spelling 1-3 descriptor bytes.
 struct OpDesc {
-    uint8_t flags = 0;
-    uint8_t dep1 = 0;
-    uint8_t dep2 = 0;
+    uint8_t flags;
+    uint8_t dep1;
+    uint8_t dep2;
 
     bool
     operator==(const OpDesc &o) const
@@ -108,16 +166,118 @@ struct OpDesc {
     }
 };
 
-/// Encode @p block into @p out (cleared first). All dictionaries and
-/// delta chains reset per block so every block decodes independently of
-/// its predecessors.
-void
-encodeBlock(const TraceBlock &block, std::string &out)
+/// A block's dictionary (op descriptors or event values) in code order.
+/// The first kInline entries live in place, so a real block's table
+/// never touches the heap; a block with more distinct entries spills
+/// the rest into @ref tail.
+template <typename T>
+struct BlockTable {
+    static constexpr size_t kInline = 512;
+
+    T head[kInline];
+    size_t n = 0;
+    std::vector<T> tail;
+
+    size_t size() const { return n; }
+
+    const T &
+    operator[](size_t i) const
+    {
+        return i < kInline ? head[i] : tail[i - kInline];
+    }
+
+    void
+    push(const T &v)
+    {
+        if (n < kInline) {
+            head[n] = v;
+        } else {
+            tail.push_back(v);
+        }
+        ++n;
+    }
+};
+
+/// The key an encoder-side index hashes: the descriptor bytes, or the
+/// event value itself.
+uint64_t
+keyOf(const OpDesc &d)
 {
-    out.clear();
-    putVarint(out, block.ops.size());
-    putVarint(out, block.events.size());
-    std::vector<OpDesc> descs;
+    return d.flags | static_cast<uint64_t>(d.dep1) << 8 |
+           static_cast<uint64_t>(d.dep2) << 16;
+}
+
+uint64_t
+keyOf(uint64_t v)
+{
+    return v;
+}
+
+/// Encoder-side dictionary: code lookup through a fixed open-addressed
+/// index over the in-place entries (half full at most, so probing ends)
+/// and, past them, an in-order scan of the spilled tail. Entries are
+/// distinct, so the index finds a key's first and only position and
+/// the codes match a plain first-match scan byte for byte.
+template <typename T>
+struct BlockIndex : BlockTable<T> {
+    static constexpr int kSlotBits = 10;
+    static constexpr size_t kSlots = size_t{1} << kSlotBits;
+    static_assert(kSlots >= 2 * BlockTable<T>::kInline);
+    static constexpr size_t npos = ~size_t{0};
+
+    uint16_t slot[kSlots] = {};  ///< Entry index + 1; 0 = empty.
+
+    /// The code index of @p key, or npos after appending it.
+    size_t
+    findOrAdd(const T &key)
+    {
+        size_t s = static_cast<size_t>(
+            (keyOf(key) * 0x9e3779b97f4a7c15ULL) >> (64 - kSlotBits));
+        for (; slot[s] != 0; s = (s + 1) & (kSlots - 1)) {
+            if (this->head[slot[s] - 1] == key) {
+                return slot[s] - 1;
+            }
+        }
+        for (size_t i = 0; i < this->tail.size(); ++i) {
+            if (this->tail[i] == key) {
+                return BlockTable<T>::kInline + i;
+            }
+        }
+        if (this->n < BlockTable<T>::kInline) {
+            slot[s] = static_cast<uint16_t>(this->n + 1);
+        }
+        this->push(key);
+        return npos;
+    }
+};
+
+/// Upper bound on encodeBlock's output for @p block: the two counts,
+/// per op a descriptor (code varint, or 0 + flags + deps) and the pc
+/// and addr deltas, per event the position delta, the kind byte and a
+/// value (code varint, or 0 + the literal varint).
+size_t
+maxPayloadBytes(const TraceBlock &block)
+{
+    return 2 * kMaxVarint + block.ops.size() * 3 * kMaxVarint +
+           block.events.size() * (2 * kMaxVarint + 2);
+}
+
+/// Encode @p block into @p buf (grown to the worst case, never shrunk)
+/// and fold every written byte into @p sum. Returns the payload length.
+/// All dictionaries and delta chains reset per block so every block
+/// decodes independently of its predecessors.
+size_t
+encodeBlock(const TraceBlock &block, std::string &buf, uint64_t &sum)
+{
+    const size_t need = maxPayloadBytes(block);
+    if (buf.size() < need) {
+        buf.resize(need);
+    }
+    uint8_t *const begin = reinterpret_cast<uint8_t *>(buf.data());
+    ByteWriter w{begin, sum};
+    w.varint(block.ops.size());
+    w.varint(block.events.size());
+    BlockIndex<OpDesc> descs;
     uint64_t prev_pc = 0;
     uint64_t prev_addr[kNumOpClasses] = {};
     for (const TraceOp &op : block.ops) {
@@ -140,85 +300,74 @@ encodeBlock(const TraceBlock &block, std::string &out)
         // (the overwhelmingly common case), else 0 + the literal bytes.
         const OpDesc desc{flags, has_deps ? op.dep1 : uint8_t{0},
                           has_deps ? op.dep2 : uint8_t{0}};
-        size_t idx = descs.size();
-        for (size_t i = 0; i < descs.size(); ++i) {
-            if (descs[i] == desc) {
-                idx = i;
-                break;
-            }
-        }
-        if (idx < descs.size()) {
-            putVarint(out, idx + 1);
+        const size_t idx = descs.findOrAdd(desc);
+        if (idx != descs.npos) {
+            w.varint(idx + 1);
         } else {
-            out.push_back(0);
-            out.push_back(static_cast<char>(flags));
+            w.u8(0);
+            w.u8(flags);
             if (has_deps) {
-                out.push_back(static_cast<char>(op.dep1));
-                out.push_back(static_cast<char>(op.dep2));
+                w.u8(op.dep1);
+                w.u8(op.dep2);
             }
-            descs.push_back(desc);
         }
-        putVarint(out, zigzag(static_cast<int64_t>(op.pc - prev_pc)));
+        w.varint(zigzag(static_cast<int64_t>(op.pc - prev_pc)));
         prev_pc = op.pc;
         if (has_addr) {
             // Per-class address chains: loads stride against the last
             // load, stores against the last store, so interleaved
             // streams keep their per-stream locality.
             uint64_t &prev = prev_addr[static_cast<int>(op.cls)];
-            putVarint(out, zigzag(static_cast<int64_t>(op.addr - prev)));
+            w.varint(zigzag(static_cast<int64_t>(op.addr - prev)));
             prev = op.addr;
         }
     }
-    std::vector<uint64_t> values;
+    BlockIndex<uint64_t> values;
     uint64_t prev_pos = 0;
     for (const TraceBlock::Event &e : block.events) {
-        putVarint(out, e.pos - prev_pos);
+        w.varint(e.pos - prev_pos);
         prev_pos = e.pos;
         uint8_t packed = e.kind == TraceBlock::Event::Kernel ? 1 : 0;
         if (e.taken) {
             packed |= 2;
         }
-        out.push_back(static_cast<char>(packed));
+        w.u8(packed);
         // Event values (branch pcs, kernel sites) are drawn from a
         // small recurring set but look like random 64-bit integers, so
         // delta coding is useless: dictionary-code them instead.
-        size_t idx = values.size();
-        for (size_t i = 0; i < values.size(); ++i) {
-            if (values[i] == e.value) {
-                idx = i;
-                break;
-            }
-        }
-        if (idx < values.size()) {
-            putVarint(out, idx + 1);
+        const size_t idx = values.findOrAdd(e.value);
+        if (idx != values.npos) {
+            w.varint(idx + 1);
         } else {
-            out.push_back(0);
-            putVarint(out, e.value);
-            values.push_back(e.value);
+            w.u8(0);
+            w.varint(e.value);
         }
     }
+    sum = w.sum;
+    return static_cast<size_t>(w.p - begin);
 }
 
-/// Decode one payload into @p block (cleared first). @p delta_fault is
-/// the vepro-check tracefile-delta injection: every op pc delta decodes
-/// off by one.
-void
-decodeBlock(const uint8_t *data, size_t n, TraceBlock &block,
+/// Decode one payload into @p block (cleared first), folding every
+/// payload byte into the running checksum @p sum; returns the updated
+/// checksum. @p delta_fault is the vepro-check tracefile-delta
+/// injection: every op pc delta decodes off by one.
+uint64_t
+decodeBlock(const uint8_t *data, size_t n, uint64_t sum, TraceBlock &block,
             bool delta_fault)
 {
-    ByteReader r{data, data + n};
+    ByteReader r{data, data + n, sum};
     const uint64_t op_count = r.varint("op count");
     const uint64_t event_count = r.varint("event count");
     if (op_count > kMaxBlockRecords || event_count > kMaxBlockRecords) {
         throw std::runtime_error("implausible record count");
     }
     block.clear();
-    block.ops.reserve(op_count);
+    block.ops.resize(op_count);
     block.events.reserve(event_count);
-    std::vector<OpDesc> descs;
+    BlockTable<OpDesc> descs;
     uint64_t prev_pc = 0;
     uint64_t prev_addr[kNumOpClasses] = {};
-    for (uint64_t i = 0; i < op_count; ++i) {
+    for (TraceOp &op : block.ops) {
         const uint64_t code = r.varint("op descriptor code");
         OpDesc desc;
         if (code == 0) {
@@ -228,11 +377,13 @@ decodeBlock(const uint8_t *data, size_t n, TraceBlock &block,
                 throw std::runtime_error("bad op class " +
                                          std::to_string(cls));
             }
+            desc.dep1 = 0;
+            desc.dep2 = 0;
             if ((desc.flags & 0x80) != 0) {
                 desc.dep1 = r.u8("op deps");
                 desc.dep2 = r.u8("op deps");
             }
-            descs.push_back(desc);
+            descs.push(desc);
         } else {
             if (code > descs.size()) {
                 throw std::runtime_error("op descriptor code " +
@@ -243,7 +394,6 @@ decodeBlock(const uint8_t *data, size_t n, TraceBlock &block,
             }
             desc = descs[code - 1];
         }
-        TraceOp op;
         op.cls = static_cast<OpClass>(desc.flags & 0x0f);
         op.taken = (desc.flags & 0x10) != 0;
         op.foreign = (desc.flags & 0x20) != 0;
@@ -261,18 +411,16 @@ decodeBlock(const uint8_t *data, size_t n, TraceBlock &block,
                                  unzigzag(r.varint("addr delta")));
             prev = op.addr;
         }
-        block.ops.push_back(op);
     }
-    std::vector<uint64_t> values;
+    BlockTable<uint64_t> values;
     uint64_t prev_pos = 0;
     for (uint64_t i = 0; i < event_count; ++i) {
         TraceBlock::Event e;
         const uint64_t pos = prev_pos + r.varint("event position");
-        if (pos > block.ops.size()) {
+        if (pos > op_count) {
             throw std::runtime_error("event position " + std::to_string(pos) +
                                      " past the block's " +
-                                     std::to_string(block.ops.size()) +
-                                     " ops");
+                                     std::to_string(op_count) + " ops");
         }
         prev_pos = pos;
         e.pos = static_cast<uint32_t>(pos);
@@ -286,7 +434,7 @@ decodeBlock(const uint8_t *data, size_t n, TraceBlock &block,
         const uint64_t code = r.varint("event value code");
         if (code == 0) {
             e.value = r.varint("event value");
-            values.push_back(e.value);
+            values.push(e.value);
         } else {
             if (code > values.size()) {
                 throw std::runtime_error("event value code " +
@@ -302,6 +450,17 @@ decodeBlock(const uint8_t *data, size_t n, TraceBlock &block,
     if (r.p != r.end) {
         throw std::runtime_error("trailing bytes in block payload");
     }
+    return r.sum;
+}
+
+/// The vepro-check tracefile-sum injection, applied alike by writer and
+/// reader: the running checksum leaves the first half of each payload
+/// out, so a flip there that still decodes goes unnoticed.
+uint64_t
+faultySum(uint64_t sum, const void *payload, size_t n)
+{
+    return fnv1a64(sum, static_cast<const char *>(payload) + n / 2,
+                   n - n / 2);
 }
 
 uint64_t
@@ -377,11 +536,12 @@ FileSink::writeBlock(const TraceBlock &block)
     if (block.empty()) {
         return;
     }
-    encodeBlock(block, payload_);
-    const uint32_t len = static_cast<uint32_t>(payload_.size());
+    uint64_t sum = checksum_;
+    const size_t n = encodeBlock(block, payload_, sum);
+    checksum_ = sum_fault_ ? faultySum(checksum_, payload_.data(), n) : sum;
+    const uint32_t len = static_cast<uint32_t>(n);
     write(&len, sizeof len);
-    write(payload_.data(), payload_.size());
-    checksum_ = fnv1a64(checksum_, payload_.data(), payload_.size());
+    write(payload_.data(), n);
     op_count_ += block.ops.size();
     branch_count_ += countBranchEvents(block);
     ++block_count_;
@@ -597,10 +757,13 @@ FileSource::replay(TraceSink &sink) const
         }
         payload.resize(len);
         need(payload.data(), len, "block payload");
-        checksum = fnv1a64(checksum, payload.data(), payload.size());
         try {
-            decodeBlock(reinterpret_cast<const uint8_t *>(payload.data()),
-                        payload.size(), block, delta_fault_);
+            const uint64_t sum = decodeBlock(
+                reinterpret_cast<const uint8_t *>(payload.data()),
+                payload.size(), checksum, block, delta_fault_);
+            checksum = sum_fault_
+                           ? faultySum(checksum, payload.data(), payload.size())
+                           : sum;
         } catch (const std::exception &e) {
             fail(path_, block_offset, e.what());
         }

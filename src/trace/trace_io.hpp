@@ -149,6 +149,10 @@ class FileSink final : public TraceSink
     /** Total bytes written so far (the final file size after flush). */
     uint64_t bytesWritten() const { return bytes_written_; }
 
+    /** Harness-only (vepro-check --inject=tracefile-sum): see
+     *  FileSource::injectSumFault. */
+    void injectSumFault(bool on) { sum_fault_ = on; }
+
   private:
     void writeBlock(const TraceBlock &block);
     void flushStage();
@@ -157,7 +161,8 @@ class FileSink final : public TraceSink
     std::string path_;
     std::FILE *file_ = nullptr;
     TraceBlock stage_;
-    std::string payload_;   ///< Encode buffer, reused per block.
+    std::string payload_;   ///< Encode buffer, reused per block; sized
+                            ///< for the worst case, never shrunk.
     std::string metadata_;
     uint64_t op_count_ = 0;
     uint64_t branch_count_ = 0;
@@ -166,6 +171,7 @@ class FileSink final : public TraceSink
     uint64_t checksum_ = 0;
     bool sealed_ = false;
     bool defer_seal_ = false;
+    bool sum_fault_ = false;
 };
 
 /**
@@ -205,9 +211,19 @@ class FileSource
      */
     void injectDeltaFault(bool on) { delta_fault_ = on; }
 
+    /**
+     * Harness-only (vepro-check --inject=tracefile-sum): leave the first
+     * half of every block payload out of the running checksum, modelling
+     * a folded checksum that skips bytes. Set on writer and reader alike
+     * the files still verify, so only a corrupted byte in the skipped
+     * half that still decodes can show the fault.
+     */
+    void injectSumFault(bool on) { sum_fault_ = on; }
+
   private:
     std::string path_;
     bool delta_fault_ = false;
+    bool sum_fault_ = false;
 };
 
 } // namespace vepro::trace
