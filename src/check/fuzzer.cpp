@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <sstream>
 
@@ -648,6 +649,10 @@ diffJobResult(const lab::JobResult &want, const lab::JobResult &got)
 // ---------------------------------------------------------------------
 // Parallel target helpers
 
+/** Ops in one batch of core::simulate's multi-config fan-out: 64
+ *  standard blocks. */
+constexpr size_t kFanOutBatchOps = 64 * trace::TraceBlock::kOps;
+
 /**
  * Deterministically interleaved op/branch/kernel stream: the same
  * @p chunk_seed produces the identical record sequence (including chunk
@@ -720,6 +725,133 @@ diffCacheSinks(const uarch::CacheSink &ref, const uarch::CacheSink &par)
         }
     }
     return out.str();
+}
+
+// ---------------------------------------------------------------------
+// TraceFile target helpers
+
+/**
+ * Restages a record stream into blocks of seeded, irregular sizes (up
+ * to four standard blocks, so one block can hold more distinct op
+ * descriptors and event values than the encoder's in-place tables) and
+ * hands each whole to @p dest through onBlock: the FileSink intake that
+ * record-at-a-time capture never reaches. flush() hands over the tail
+ * block and flushes @p dest.
+ */
+class IrregularBlocks final : public trace::TraceSink
+{
+  public:
+    IrregularBlocks(trace::TraceSink &dest, uint64_t seed)
+        : dest_(dest), rng_(seed), limit_(drawLimit())
+    {
+    }
+
+    void onOp(const TraceOp &op) override { onOps(&op, 1); }
+
+    void
+    onOps(const TraceOp *ops, size_t n) override
+    {
+        while (n > 0) {
+            const size_t take = std::min(n, limit_ - block_.ops.size());
+            block_.ops.insert(block_.ops.end(), ops, ops + take);
+            ops += take;
+            n -= take;
+            if (block_.ops.size() == limit_) {
+                cut();
+            }
+        }
+    }
+
+    void
+    onBranch(const trace::BranchRecord &branch) override
+    {
+        event(trace::TraceBlock::Event::Branch, branch.taken, branch.pc);
+    }
+
+    void
+    onKernel(uint64_t site) override
+    {
+        event(trace::TraceBlock::Event::Kernel, false, site);
+    }
+
+    void
+    flush() override
+    {
+        cut();
+        dest_.flush();
+    }
+
+  private:
+    size_t
+    drawLimit()
+    {
+        return rng_.range(1, 4 * trace::TraceBlock::kOps);
+    }
+
+    void
+    event(trace::TraceBlock::Event::Kind kind, bool taken, uint64_t value)
+    {
+        trace::TraceBlock::Event e;
+        e.pos = static_cast<uint32_t>(block_.ops.size());
+        e.kind = kind;
+        e.taken = taken;
+        e.value = value;
+        block_.events.push_back(e);
+        if (block_.events.size() >= limit_) {
+            cut();
+        }
+    }
+
+    void
+    cut()
+    {
+        if (!block_.empty()) {
+            dest_.onBlock(std::move(block_));
+            block_.clear();
+        }
+        limit_ = drawLimit();
+    }
+
+    trace::TraceSink &dest_;
+    SplitMix64 rng_;
+    size_t limit_;
+    trace::TraceBlock block_;
+};
+
+/**
+ * Byte offsets, in a TraceFile image, of the flags byte of each block's
+ * first op. Found by walking the block framing and the two count
+ * varints only: a block's first op is always a literal descriptor
+ * (code 0, then flags), because the dictionaries reset per block.
+ */
+std::vector<size_t>
+firstOpFlagOffsets(const std::vector<char> &file)
+{
+    std::vector<size_t> out;
+    size_t at = 8;  // "VETF" + version
+    while (at + 4 <= file.size()) {
+        uint32_t len = 0;
+        std::memcpy(&len, file.data() + at, sizeof len);
+        if (len == 0 || at + 4 + len > file.size()) {
+            break;
+        }
+        size_t p = at + 4;
+        uint64_t counts[2] = {0, 0};
+        for (uint64_t &c : counts) {
+            for (int shift = 0; p < file.size(); shift += 7) {
+                const auto byte = static_cast<uint8_t>(file[p++]);
+                c |= static_cast<uint64_t>(byte & 0x7f) << shift;
+                if ((byte & 0x80) == 0) {
+                    break;
+                }
+            }
+        }
+        if (counts[0] > 0) {
+            out.push_back(p + 1);
+        }
+        at += 4 + len;
+    }
+    return out;
 }
 
 // ---------------------------------------------------------------------
@@ -1353,12 +1485,20 @@ Fuzzer::runParallelCase(uint64_t seed, Divergence &out)
                                             : rng.range(16'000, 120'000);
     const uint64_t max_brs = options_.quick ? rng.range(1'000, 8'000)
                                             : rng.range(1'000, 24'000);
-    const std::vector<TraceOp> ops = trace::synthFuzzTrace(rng.fork(),
-                                                           max_ops);
+    std::vector<TraceOp> ops = trace::synthFuzzTrace(rng.fork(), max_ops);
     const std::vector<trace::BranchRecord> branches =
         trace::synthFuzzBranches(rng.fork(), max_brs);
     const uint64_t chunk_seed = rng.next();
     const bool drop = options_.inject == Fault::ParallelDrop;
+    // One case in three runs past three of the fan-out's batches, so a
+    // batch replaying on the workers overlaps the fill of the next.
+    if (rng.chance(1, 3)) {
+        while (ops.size() <= 3 * kFanOutBatchOps) {
+            const std::vector<TraceOp> more =
+                trace::synthFuzzTrace(rng.fork(), max_ops);
+            ops.insert(ops.end(), more.begin(), more.end());
+        }
+    }
 
     auto fail = [&](const std::string &what) {
         out.target = Target::Parallel;
@@ -1477,8 +1617,13 @@ Fuzzer::runParallelCase(uint64_t seed, Divergence &out)
  * predictor branch/miss totals — must be bit-identical, proving the
  * codec (varint + delta + dictionary, per-class address chains,
  * positioned events) is lossless for everything the simulators consume.
+ * A second capture hands the same stream to FileSink as whole irregular
+ * blocks (IrregularBlocks) and must replay the identical record stream.
+ * Last, a seeded byte flip that still decodes must make replay throw.
  * The injected tracefile-delta fault skews every decoded pc delta by
- * one; the drifting PCs must surface here as a stats mismatch.
+ * one; the drifting PCs must surface here as a stats mismatch. The
+ * injected tracefile-sum fault leaves half of each payload out of the
+ * checksum on both sides; only the corruption leg can catch it.
  */
 bool
 Fuzzer::runTraceFileCase(uint64_t seed, Divergence &out)
@@ -1502,6 +1647,7 @@ Fuzzer::runTraceFileCase(uint64_t seed, Divergence &out)
     std::snprintf(name, sizeof name, "vepro-check-trace-%016llx.vetf",
                   static_cast<unsigned long long>(seed));
     const fs::path file = base / name;
+    const fs::path block_file = base / (std::string(name) + ".blocks");
 
     auto fail = [&](const std::string &what) {
         out.target = Target::TraceFile;
@@ -1514,6 +1660,7 @@ Fuzzer::runTraceFileCase(uint64_t seed, Divergence &out)
                      " branches): " + what;
         std::error_code ec;
         fs::remove(file, ec);
+        fs::remove(block_file, ec);
         return true;
     };
 
@@ -1527,15 +1674,25 @@ Fuzzer::runTraceFileCase(uint64_t seed, Divergence &out)
     trace::MuxSink live_mux{&live_core, &live_cache, &live_runner};
     replayInterleaved(live_mux, chunk_seed, ops, branches, false);
 
-    // Capture the identical stream to disk (flush() seals the file).
+    // Capture the identical stream to disk twice, once through each
+    // FileSink intake (flush() seals the files): record-at-a-time, which
+    // the sink restages into standard blocks, and whole irregular blocks
+    // through onBlock.
+    const bool sum_fault = options_.inject == Fault::TraceFileSum;
+    const uint64_t block_seed = rng.next();
     try {
         trace::FileSink sink(file.string());
+        sink.injectSumFault(sum_fault);
         replayInterleaved(sink, chunk_seed, ops, branches, false);
         if (sink.opCount() != ops.size()) {
             return fail("capture op count " +
                         std::to_string(sink.opCount()) + " != stream's " +
                         std::to_string(ops.size()));
         }
+        trace::FileSink block_sink(block_file.string());
+        block_sink.injectSumFault(sum_fault);
+        IrregularBlocks blocks(block_sink, block_seed);
+        replayInterleaved(blocks, chunk_seed, ops, branches, false);
     } catch (const std::exception &e) {
         return fail(std::string("capture threw: ") + e.what());
     }
@@ -1545,11 +1702,12 @@ Fuzzer::runTraceFileCase(uint64_t seed, Divergence &out)
     uarch::CacheSink rep_cache(cfg.mem);
     auto rep_pred = bpred::makePredictor(kPredSpec);
     bpred::StreamRunner rep_runner(*rep_pred);
-    trace::MuxSink rep_mux{&rep_core, &rep_cache, &rep_runner};
+    RecordSink rep_records;
+    trace::MuxSink rep_mux{&rep_core, &rep_cache, &rep_runner,
+                           &rep_records};
     trace::FileSource source(file.string());
-    if (options_.inject == Fault::TraceFileDelta) {
-        source.injectDeltaFault(true);
-    }
+    source.injectDeltaFault(options_.inject == Fault::TraceFileDelta);
+    source.injectSumFault(sum_fault);
     try {
         const trace::TraceFileInfo info = source.replay(rep_mux);
         rep_mux.flush();
@@ -1579,8 +1737,65 @@ Fuzzer::runTraceFileCase(uint64_t seed, Divergence &out)
                     std::to_string(rr.misses));
     }
 
+    // The whole-block capture must replay the identical record stream.
+    RecordSink block_records;
+    try {
+        trace::FileSource block_source(block_file.string());
+        block_source.injectDeltaFault(options_.inject ==
+                                      Fault::TraceFileDelta);
+        block_source.injectSumFault(sum_fault);
+        block_source.replay(block_records);
+    } catch (const std::exception &e) {
+        return fail(std::string("whole-block replay threw: ") + e.what());
+    }
+    const std::string block_diff =
+        diffRecords(rep_records.records, block_records.records);
+    if (!block_diff.empty()) {
+        return fail("whole-block capture vs record-at-a-time: " +
+                    block_diff);
+    }
+
+    // Corruption: flip the taken or foreign bit of one seeded block's
+    // first op. The flip still decodes (the flags keep their class, addr
+    // and deps bits) and moves no footer count, so only the checksum
+    // can catch it, and replay must throw.
+    std::vector<char> bytes;
+    {
+        std::ifstream in(file, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+    }
+    const std::vector<size_t> flags_at = firstOpFlagOffsets(bytes);
+    if (flags_at.empty()) {
+        return fail("no block with ops in the capture");
+    }
+    const size_t at = flags_at[rng.below(flags_at.size())];
+    const char bit = rng.chance(1, 2) ? 0x10 : 0x20;
+    bytes[at] = static_cast<char>(bytes[at] ^ bit);
+    {
+        std::ofstream out(block_file, std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    trace::FileSource corrupt(block_file.string());
+    corrupt.injectSumFault(sum_fault);
+    RecordSink discard;
+    bool threw = false;
+    try {
+        corrupt.replay(discard);
+    } catch (const std::runtime_error &) {
+        threw = true;
+    }
+    if (!threw) {
+        return fail(std::string("flipping the ") +
+                    (bit == 0x10 ? "taken" : "foreign") +
+                    " bit of the first op's flags at byte " +
+                    std::to_string(at) +
+                    " replayed without error: the checksum missed it");
+    }
+
     std::error_code ec;
     fs::remove(file, ec);
+    fs::remove(block_file, ec);
     return false;
 }
 

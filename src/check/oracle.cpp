@@ -26,6 +26,7 @@ faultName(Fault fault)
       case Fault::HpelEdge: return "hpel-edge";
       case Fault::DctOdd: return "dct-odd";
       case Fault::CoreSwap: return "core-swap";
+      case Fault::TraceFileSum: return "tracefile-sum";
     }
     return "?";
 }
@@ -38,7 +39,7 @@ parseFault(const std::string &name, Fault &out)
                     Fault::ParallelDrop, Fault::BackendEnergy,
                     Fault::TraceFileDelta, Fault::LadderHull,
                     Fault::ProbeQuiet, Fault::HpelEdge, Fault::DctOdd,
-                    Fault::CoreSwap}) {
+                    Fault::CoreSwap, Fault::TraceFileSum}) {
         if (name == faultName(f)) {
             out = f;
             return true;

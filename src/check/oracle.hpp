@@ -68,6 +68,9 @@ enum class Fault {
     CoreSwap,       ///< The core under test skips the entry an issue
                     ///< swaps into the freed RS position for the rest
                     ///< of the cycle (StreamCore::injectSwapFault).
+    TraceFileSum,   ///< TraceFile writer and reader both leave the first
+                    ///< half of each block payload out of the running
+                    ///< checksum (FileSink/FileSource::injectSumFault).
 };
 
 /** CLI name of a fault ("cache-lru", ...; "none" for Fault::None). */

@@ -48,7 +48,8 @@ usage(const std::string &error)
         "                   [--repro-out=FILE]\n"
         "faults: none cache-lru core-latency bpred-alloc kernels-sad "
         "store-bit parallel-drop backend-energy tracefile-delta "
-        "ladder-hull probe-quiet hpel-edge dct-odd core-swap\n");
+        "ladder-hull probe-quiet hpel-edge dct-odd core-swap "
+        "tracefile-sum\n");
     std::exit(2);
 }
 

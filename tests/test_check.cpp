@@ -61,7 +61,8 @@ TEST(CheckNames, FaultNamesRoundTrip)
                             Fault::ParallelDrop,   Fault::BackendEnergy,
                             Fault::TraceFileDelta, Fault::LadderHull,
                             Fault::ProbeQuiet,     Fault::HpelEdge,
-                            Fault::DctOdd,         Fault::CoreSwap};
+                            Fault::DctOdd,         Fault::CoreSwap,
+                            Fault::TraceFileSum};
     for (Fault f : faults) {
         Fault back = Fault::None;
         ASSERT_TRUE(parseFault(faultName(f), back)) << faultName(f);
@@ -121,6 +122,7 @@ TEST(CheckInjection, EveryFaultIsCaught)
         {Fault::HpelEdge, Target::Kernels},
         {Fault::DctOdd, Target::Kernels},
         {Fault::CoreSwap, Target::Core},
+        {Fault::TraceFileSum, Target::TraceFile},
     };
     for (const FaultCase &fc : cases) {
         SCOPED_TRACE(faultName(fc.fault));
