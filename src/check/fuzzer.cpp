@@ -838,7 +838,7 @@ firstOpFlagOffsets(const std::vector<char> &file)
         size_t p = at + 4;
         uint64_t counts[2] = {0, 0};
         for (uint64_t &c : counts) {
-            for (int shift = 0; p < file.size(); shift += 7) {
+            for (int shift = 0; shift < 64 && p < file.size(); shift += 7) {
                 const auto byte = static_cast<uint8_t>(file[p++]);
                 c |= static_cast<uint64_t>(byte & 0x7f) << shift;
                 if ((byte & 0x80) == 0) {
@@ -1772,7 +1772,7 @@ Fuzzer::runTraceFileCase(uint64_t seed, Divergence &out)
     const size_t at = flags_at[rng.below(flags_at.size())];
     const char bit = rng.chance(1, 2) ? 0x10 : 0x20;
     bytes[at] = static_cast<char>(bytes[at] ^ bit);
-    {
+    {  // over the whole-block capture, which is done with
         std::ofstream out(block_file, std::ios::binary | std::ios::trunc);
         out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     }

@@ -369,7 +369,7 @@ decodeBlock(const uint8_t *data, size_t n, uint64_t sum, TraceBlock &block,
     uint64_t prev_addr[kNumOpClasses] = {};
     for (TraceOp &op : block.ops) {
         const uint64_t code = r.varint("op descriptor code");
-        OpDesc desc;
+        OpDesc desc{};
         if (code == 0) {
             desc.flags = r.u8("op flags");
             const uint8_t cls = desc.flags & 0x0f;
@@ -377,8 +377,6 @@ decodeBlock(const uint8_t *data, size_t n, uint64_t sum, TraceBlock &block,
                 throw std::runtime_error("bad op class " +
                                          std::to_string(cls));
             }
-            desc.dep1 = 0;
-            desc.dep2 = 0;
             if ((desc.flags & 0x80) != 0) {
                 desc.dep1 = r.u8("op deps");
                 desc.dep2 = r.u8("op deps");
