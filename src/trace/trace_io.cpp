@@ -155,9 +155,9 @@ struct ByteReader {
 /// foreign, deps) shapes per block, so most ops reference an entry with
 /// a one-byte code instead of re-spelling 1-3 descriptor bytes.
 struct OpDesc {
-    uint8_t flags;
-    uint8_t dep1;
-    uint8_t dep2;
+    uint8_t flags = 0;
+    uint8_t dep1 = 0;
+    uint8_t dep2 = 0;
 
     bool
     operator==(const OpDesc &o) const
@@ -168,8 +168,8 @@ struct OpDesc {
 
 /// A block's dictionary (op descriptors or event values) in code order.
 /// The first kInline entries live in place, so a real block's table
-/// never touches the heap; a block with more distinct entries spills
-/// the rest into @ref tail.
+/// never touches the heap (slots at and past @ref n are unset); a block
+/// with more distinct entries spills the rest into @ref tail.
 template <typename T>
 struct BlockTable {
     static constexpr size_t kInline = 512;
@@ -369,7 +369,7 @@ decodeBlock(const uint8_t *data, size_t n, uint64_t sum, TraceBlock &block,
     uint64_t prev_addr[kNumOpClasses] = {};
     for (TraceOp &op : block.ops) {
         const uint64_t code = r.varint("op descriptor code");
-        OpDesc desc{};
+        OpDesc desc;
         if (code == 0) {
             desc.flags = r.u8("op flags");
             const uint8_t cls = desc.flags & 0x0f;
